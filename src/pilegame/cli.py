@@ -18,18 +18,11 @@ from fractions import Fraction
 import click
 
 from . import __version__
-from .exact import closed_form, derangements, gap_to_limit, solve, solve_recursive
+from .exact import METHODS, closed_form, derangements, gap_to_limit, solve, solve_recursive
 from .oracle import MEMOIZED_MAX_N
 from .simulate import Z_BY_LEVEL, run_trials
 from .steps import expected_steps
 from .verify import run_checks
-
-_METHOD_BY_FLAG = {
-    "recursive": "recursive",
-    "telescoping": "telescoping",
-    "closed-form": "closed_form",
-    "gf": "gf",
-}
 
 _U64_MAX = (1 << 64) - 1
 
@@ -48,14 +41,14 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _emit(rows: list[dict], fieldnames: list[str], meta: dict, fmt: str) -> None:
-    """Write the report to stdout in the requested format."""
+def _emit(rows: list[dict], fmt: str, method: str, seed: int | None = None) -> None:
+    """Write non-empty ``rows`` to stdout; the CSV header is the first row's keys."""
     if fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_csv_cell(row[name]) for name in fieldnames])
+        writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows({name: _csv_cell(value) for name, value in row.items()} for row in rows)
     else:
+        meta = {"seed": seed, "method": method, "version": __version__}
         click.echo(json.dumps({"rows": rows, "meta": meta}, indent=2))
 
 
@@ -71,17 +64,23 @@ def _format_option(f):
 def main() -> None:
     """Exact solvers, a seedable simulator, and cross-verification for the
     random-vs-deterministic pile game."""
+    # Exact columns such as d_n pass CPython's 4300-digit int-to-str limit
+    # from n_max = 1559 on, and a report must print them whole. Python 3.10
+    # has neither the limit nor this setter.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
 
 
 @main.command("solve")
 @click.option("--n-max", type=click.IntRange(min=0), required=True,
               help="Largest pile size to report.")
-@click.option("--method", type=click.Choice(sorted(_METHOD_BY_FLAG)), default="recursive",
+@click.option("--method", type=click.Choice(sorted(m.replace("_", "-") for m in METHODS)),
+              default="recursive",
               help="Which solver path produces the probabilities.")
 @_format_option
 def solve_cmd(n_max: int, method: str, fmt: str) -> None:
     """Deterministic player's win probability for every n up to --n-max."""
-    table = solve(n_max, _METHOD_BY_FLAG[method])
+    table = solve(n_max, method.replace("-", "_"))
     dtable = derangements(n_max)
     rows = []
     for n in range(n_max + 1):
@@ -96,10 +95,7 @@ def solve_cmd(n_max: int, method: str, fmt: str) -> None:
             "d_n": dtable.d[n],
             "method": table.method,
         })
-    fieldnames = ["n", "d_prob_num", "d_prob_den", "d_prob_float",
-                  "gap_to_e_inv", "d_n", "method"]
-    meta = {"seed": None, "method": table.method, "version": __version__}
-    _emit(rows, fieldnames, meta, fmt)
+    _emit(rows, fmt, table.method)
 
 
 @main.command()
@@ -138,11 +134,7 @@ def simulate(n: int, trials: int, seed: int, workers: int, ci_level: float, fmt:
         "d_exact_den": d_exact.denominator,
         "within_ci": within_ci,
     }]
-    fieldnames = ["n", "trials", "d_wins", "p_hat", "ci_low", "ci_high",
-                  "ci_level", "mean_r_steps", "seed", "workers",
-                  "d_exact_num", "d_exact_den", "within_ci"]
-    meta = {"seed": seed, "method": "simulate", "version": __version__}
-    _emit(rows, fieldnames, meta, fmt)
+    _emit(rows, fmt, "simulate", seed)
 
 
 @main.command()
@@ -164,9 +156,7 @@ def steps(n_max: int, fmt: str) -> None:
             "eq_den": eq.denominator if eq is not None else None,
             "ez_float": float(ez),
         })
-    fieldnames = ["n", "ez_num", "ez_den", "eq_num", "eq_den", "ez_float"]
-    meta = {"seed": None, "method": "steps", "version": __version__}
-    _emit(rows, fieldnames, meta, fmt)
+    _emit(rows, fmt, "steps")
 
 
 @main.command()
@@ -205,9 +195,7 @@ def convergence(n_max: int, fmt: str) -> None:
             "gap_to_e_inv": report.gap,
             "bound": float(report.bound),
         })
-    fieldnames = ["n", "d_prob_float", "gap_to_e_inv", "bound"]
-    meta = {"seed": None, "method": "convergence", "version": __version__}
-    _emit(rows, fieldnames, meta, fmt)
+    _emit(rows, fmt, "convergence")
 
 
 if __name__ == "__main__":

@@ -13,6 +13,13 @@ R_n is computed four independent ways, all in exact rational arithmetic:
 * ``closed_form``       -- alternating partial sum R_n = 1 - sum_{k<=n} (-1)^k/k!
 * ``gf_coefficients``   -- coefficient extraction from a power-series product
 
+``solve_telescoping`` and ``closed_form`` evaluate the same alternating sum
+R_n = sum_{k=1}^{n} (-1)^(k+1)/k!. The first keeps running prefix sums; the
+second sums each n afresh, as 1 minus the sum from k = 0. They stay separate
+routes on purpose, so that a slip in one accumulation is caught by the other.
+``METHODS`` lists the route tags in registry order, which is also the order
+of ``verify``'s pairwise checks.
+
 D_n equals d_n/n! where d_n counts fixed-point-free permutations of n items,
 so the module also builds derangement tables, and D_n converges to 1/e with
 alternating-series rate 1/(n+1)!; ``gap_to_limit`` measures that gap.
@@ -34,9 +41,6 @@ E_INVERSE = math.exp(-1.0)
 #: Slack added to float-space comparisons against 1/e. Absorbs the rounding
 #: of both the probability and the reference constant to doubles.
 FLOAT_SLACK = Fraction(1, 2**48)
-
-#: Valid ``WinTable.method`` tags, one per solver path.
-METHODS = ("recursive", "telescoping", "closed_form", "gf")
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -231,17 +235,22 @@ def gf_table(n_max: int) -> WinTable:
     return WinTable(n_max=n_max, r=gf_coefficients(n_max), method="gf")
 
 
+_SOLVERS = {
+    "recursive": solve_recursive,
+    "telescoping": solve_telescoping,
+    "closed_form": closed_form_table,
+    "gf": gf_table,
+}
+
+#: Valid ``WinTable.method`` tags, one per solver path.
+METHODS = tuple(_SOLVERS)
+
+
 def solve(n_max: int, method: str) -> WinTable:
     """Dispatch to one of the four solver paths by method tag."""
-    if method == "recursive":
-        return solve_recursive(n_max)
-    if method == "telescoping":
-        return solve_telescoping(n_max)
-    if method == "closed_form":
-        return closed_form_table(n_max)
-    if method == "gf":
-        return gf_table(n_max)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    return _SOLVERS[method](n_max)
 
 
 def gap_to_limit(n: int, table: WinTable) -> LimitGap:

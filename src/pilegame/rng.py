@@ -32,14 +32,9 @@ def expand_seed(seed: int) -> tuple[int, int, int, int]:
     """
     if not 0 <= seed <= MASK64:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    words = []
-    x = seed
-    for _ in range(4):
-        x = (x + _GAMMA) & MASK64
-        z = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & MASK64
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK64
-        words.append(z ^ (z >> 31))
-    return words[0], words[1], words[2], words[3]
+    # The stream's state after i steps is seed + i*_GAMMA, and splitmix64
+    # takes one more step before mixing.
+    return tuple(splitmix64((seed + i * _GAMMA) & MASK64) for i in range(4))
 
 
 class Xoshiro256StarStar:

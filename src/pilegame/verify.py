@@ -24,9 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .exact import (
     FLOAT_SLACK,
+    METHODS,
     WinTable,
     DerangementTable,
     closed_form_table,
@@ -222,25 +224,19 @@ def run_checks(n_max: int = 200, oracle_max: int = 12) -> list[CheckResult]:
     if oracle_max > n_max:
         raise ValueError(f"oracle_max ({oracle_max}) must not exceed n_max ({n_max})")
 
+    # Each route is called by name, never through ``exact.solve``, so the
+    # four tables stay independent computations. Listed in ``METHODS`` order.
     recursive = solve_recursive(n_max)
-    telescoping = solve_telescoping(n_max)
-    closed = closed_form_table(n_max)
-    gf = gf_table(n_max)
+    tables = (recursive, solve_telescoping(n_max), closed_form_table(n_max), gf_table(n_max))
     dtable = derangements(n_max)
     steps = expected_steps(n_max)
     qseq = q_sequence(n_max)
 
-    pairs = [
-        ("recursive-vs-telescoping", recursive, telescoping),
-        ("recursive-vs-closed-form", recursive, closed),
-        ("recursive-vs-gf", recursive, gf),
-        ("telescoping-vs-closed-form", telescoping, closed),
-        ("telescoping-vs-gf", telescoping, gf),
-        ("closed-form-vs-gf", closed, gf),
-    ]
-
     results = [check_base_cases(recursive)]
-    results.extend(check_tables_equal(check_id, a, b) for check_id, a, b in pairs)
+    results.extend(
+        check_tables_equal(f"{a_tag}-vs-{b_tag}".replace("_", "-"), a, b)
+        for (a_tag, a), (b_tag, b) in combinations(zip(METHODS, tables), 2)
+    )
     results.append(check_derangement_identity(recursive, dtable))
     results.append(check_telescoping_differences(recursive))
     results.append(check_oracle_win_prob(recursive, oracle_max, memoize=True))

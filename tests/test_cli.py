@@ -2,15 +2,17 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 from fractions import Fraction
 
+import pytest
 from click.testing import CliRunner
 
 import pilegame.verify
 from pilegame.cli import main
-from pilegame.exact import solve_telescoping
+from pilegame.exact import derangements, solve_recursive, solve_telescoping
 
 
 def _run(*args):
@@ -181,3 +183,42 @@ def test_help_lists_all_subcommands():
     result = _run("--help")
     for command in ("solve", "simulate", "steps", "verify", "convergence"):
         assert command in result.output
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_solve_large_n_max_prints_exact_columns(fmt):
+    # From n_max = 1559 on, d_n has more digits than CPython's default
+    # int-to-str limit allows.
+    result = _run("solve", "--n-max", "1600", "--format", fmt)
+    assert result.exit_code == 0, result.output[-500:]
+    if fmt == "json":
+        last = json.loads(result.output)["rows"][-1]
+    else:
+        last = _csv_rows(result.output)[-1]
+    assert int(last["n"]) == 1600
+    d_exact = solve_recursive(1600).d(1600)
+    assert int(last["d_prob_num"]) == d_exact.numerator
+    assert int(last["d_prob_den"]) == d_exact.denominator
+    assert int(last["d_n"]) == derangements(1600).d[1600]
+
+
+#: First 16 hex digits of the SHA-256 of stdout. They pin header order, JSON
+#: ``meta`` key order and every byte of each report: stdout is byte-identical
+#: for identical arguments, so a changed digest is a changed output contract.
+GOLDEN_STDOUT = {
+    "solve --n-max 12": "79c7a98be0bf3185",
+    "solve --n-max 12 --method telescoping --format json": "265042bab92c0f40",
+    "solve --n-max 12 --method closed-form": "15f2b2ccf3510738",
+    "solve --n-max 12 --method gf --format json": "2f21e365622d744b",
+    "steps --n-max 12 --format json": "88d46eb338caf724",
+    "convergence --n-max 20": "a1df61fa795a6c53",
+    "verify --n-max 40 --oracle-max 6": "f9b39522ccd00f75",
+    "simulate --n 10 --trials 5000 --seed 42 --workers 2 --format json": "c00326c1172053ba",
+}
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_STDOUT))
+def test_stdout_is_byte_identical_to_golden(args):
+    result = _run(*args.split())
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.output.encode()).hexdigest()[:16] == GOLDEN_STDOUT[args]

@@ -20,6 +20,16 @@ def test_expand_seed_reference_vector():
     )
 
 
+def test_expand_seed_wraps_at_top_of_range():
+    # The splitmix64 state wraps past 2**64 on the first step.
+    assert expand_seed(MASK64) == (
+        0xE4D971771B652C20,
+        0xE99FF867DBF682C9,
+        0x382FF84CB27281E9,
+        0x6D1DB36CCBA982D2,
+    )
+
+
 def test_expand_seed_rejects_out_of_range():
     with pytest.raises(ValueError):
         expand_seed(-1)
