@@ -17,6 +17,12 @@ R_n is computed four independent ways, all in exact rational arithmetic:
 R_n = sum_{k=1}^{n} (-1)^(k+1)/k!. The first keeps running prefix sums; the
 second sums each n afresh, as 1 minus the sum from k = 0. They stay separate
 routes on purpose, so that a slip in one accumulation is caught by the other.
+
+``closed_form`` and ``gf_coefficients`` do their inner work over integers:
+``closed_form`` sums n!/k! terms and ``gf_coefficients`` convolves the
+series scaled by n_max!, and each value is reduced to a ``Fraction`` once.
+That keeps them near-linear in ``Fraction`` work without sharing anything:
+both stay independent routes, each computed from its own formula.
 ``METHODS`` lists the route tags in registry order, which is also the order
 of ``verify``'s pairwise checks.
 
@@ -156,16 +162,22 @@ def solve_telescoping(n_max: int) -> WinTable:
 
 
 def closed_form(n: int) -> Fraction:
-    """Exact R_n = 1 - sum_{k=0}^{n} (-1)^k / k!."""
+    """Exact R_n = 1 - sum_{k=0}^{n} (-1)^k / k!.
+
+    The sum is taken over integers as n! * sum = sum_k (-1)^k n!/k!, with
+    the running term n!/k! built from k = n down to k = 0, and reduced once.
+    Each n is evaluated from scratch, sharing nothing with other n or with
+    ``solve_telescoping``.
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    total = _ZERO
-    fact = 1
-    for k in range(n + 1):
-        if k > 0:
-            fact *= k
-        total += Fraction((-1) ** k, fact)
-    return 1 - total
+    total = 0
+    term = 1  # n!/k!, starting at k = n
+    for k in range(n, 0, -1):
+        total += -term if k % 2 else term
+        term *= k
+    total += term  # the k = 0 term, n!/0! = n!
+    return 1 - Fraction(total, term)
 
 
 def closed_form_table(n_max: int) -> WinTable:
@@ -210,23 +222,28 @@ def gf_coefficients(n_max: int) -> tuple[Fraction, ...]:
 
     Both factor series are truncated at degree n_max and multiplied as
     formal power series; coefficient k of the product equals R_k. The
-    convolution is evaluated literally, term by term -- by design this is
-    an independent computation path, not a wrapper over ``closed_form``.
+    convolution is evaluated literally, term by term, over integers: the
+    second factor is scaled by n_max!, so its coefficients are the integers
+    (-1)^(j+1) n_max!/j!, and each product coefficient is reduced once as
+    ``Fraction(c_k, n_max!)``. By design this is an independent computation
+    path, not a wrapper over ``closed_form``.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    geometric = [_ONE] * (n_max + 1)
-    exp_part = [_ZERO] * (n_max + 1)  # coefficients of 1 - sum (-x)^j / j!
-    fact = 1
-    for j in range(1, n_max + 1):
-        fact *= j
-        exp_part[j] = Fraction((-1) ** (j + 1), fact)
+    geometric = [1] * (n_max + 1)
+    # n_max! times the coefficients of 1 - sum (-x)^j / j!.
+    exp_part = [0] * (n_max + 1)
+    term = 1  # n_max!/j!, starting at j = n_max
+    for j in range(n_max, 0, -1):
+        exp_part[j] = term if j % 2 else -term
+        term *= j
+    scale = term  # n_max!
     coeffs = []
     for k in range(n_max + 1):
-        c_k = _ZERO
+        c_k = 0
         for j in range(k + 1):
             c_k += geometric[k - j] * exp_part[j]
-        coeffs.append(c_k)
+        coeffs.append(Fraction(c_k, scale))
     return tuple(coeffs)
 
 

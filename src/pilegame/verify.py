@@ -13,7 +13,9 @@ behind it) can pinpoint a disagreement:
 * ``oracle-steps``           -- game-tree E(Z_n) equals the recursion's
 * ``q-recursion``            -- n*E(Q_n) = 1 - E(Q_{n-1}) with E(Q_2) = 0
 * ``steps-vs-q-recursion``   -- summed-recursion differences match q_sequence
-* ``alternating-bound``      -- |D_n - D_m| <= 1/(n+1)! for all n < m
+* ``alternating-bound``      -- |D_n - D_m| <= 1/(n+1)! for all n < m, checked
+                               with a suffix max/min scan that reports the
+                               same first (n, m) as a scan over all pairs
 * ``limit-gap``              -- float distance to 1/e within bound + slack
 
 All equality checks run on exact rationals; only ``limit-gap`` touches
@@ -91,8 +93,12 @@ def check_tables_equal(check_id: str, a: WinTable, b: WinTable) -> CheckResult:
 
 def check_derangement_identity(table: WinTable, dtable: DerangementTable) -> CheckResult:
     """1 - R_n must equal d_n/n! exactly for every n in the table."""
-    top = min(table.n_max, dtable.n_max)
-    for n in range(top + 1):
+    if table.n_max != dtable.n_max:
+        return _fail(
+            "derangement-identity",
+            f"table sizes differ: {table.n_max} vs {dtable.n_max}",
+        )
+    for n in range(table.n_max + 1):
         expected = Fraction(dtable.d[n], dtable.factorial[n])
         if table.d(n) != expected:
             return _fail(
@@ -172,22 +178,31 @@ def check_steps_vs_q(steps: StepsTable, qseq: tuple[Fraction, ...]) -> CheckResu
 
 
 def check_alternating_bound(table: WinTable) -> CheckResult:
-    """|D_n - D_m| <= 1/(n+1)! for every pair n < m, in exact arithmetic."""
-    bounds = []
-    fact = 1
-    for j in range(1, table.n_max + 2):
-        fact *= j
-        bounds.append(Fraction(1, fact))  # bounds[n] = 1/(n+1)!
+    """|D_n - D_m| <= 1/(n+1)! for every pair n < m, in exact arithmetic.
+
+    A backward pass keeps the suffix max and min of D_m over m > n, so row n
+    fails exactly when one of them lies more than 1/(n+1)! from D_n. Only
+    the first failing row is rescanned in ascending m, so the detail names
+    the same first (n, m) as a scan over all pairs.
+    """
     d = [table.d(n) for n in range(table.n_max + 1)]
-    for n in range(table.n_max + 1):
-        bound_n = bounds[n]
-        for m in range(n + 1, table.n_max + 1):
-            if abs(d[n] - d[m]) > bound_n:
-                return _fail(
-                    "alternating-bound",
-                    f"|D_{n} - D_{m}| = {abs(d[n] - d[m])} exceeds "
-                    f"1/{n + 1}! = {bound_n} (n={n}, m={m})",
-                )
+    # hi[n] and lo[n] are references to the largest and smallest of d[n:].
+    hi = d[:]
+    lo = d[:]
+    for n in range(table.n_max - 1, -1, -1):
+        hi[n] = max(d[n], hi[n + 1])
+        lo[n] = min(d[n], lo[n + 1])
+    fact = 1
+    for n in range(table.n_max):
+        fact *= n + 1
+        bound_n = Fraction(1, fact)  # 1/(n+1)!
+        if hi[n + 1] - d[n] > bound_n or d[n] - lo[n + 1] > bound_n:
+            m = next(m for m in range(n + 1, table.n_max + 1) if abs(d[n] - d[m]) > bound_n)
+            return _fail(
+                "alternating-bound",
+                f"|D_{n} - D_{m}| = {abs(d[n] - d[m])} exceeds "
+                f"1/{n + 1}! = {bound_n} (n={n}, m={m})",
+            )
     return _ok("alternating-bound")
 
 

@@ -5,6 +5,11 @@ this module (exhaustive expansion of the literal game rules, permutation
 enumeration for derangements) and are asserted against the package, never
 computed with it. ``test_reference_self_check`` in test_oracle.py re-derives
 the frozen tables from the routines on every run.
+
+The ``*_by_terms`` and ``*_by_pairs`` routines at the end are the slow,
+direct forms of fast package code: per-term ``Fraction`` sums for the
+closed form and the generating function, and the scan over every pair for
+the alternating bound. Tests require the package to agree with them exactly.
 """
 
 from fractions import Fraction
@@ -95,3 +100,60 @@ def count_derangements_by_enumeration(n: int) -> int:
         for perm in permutations(range(n))
         if all(perm[i] != i for i in range(n))
     )
+
+
+def closed_form_by_terms(n: int) -> Fraction:
+    """R_n = 1 - sum_{k=0}^{n} (-1)^k/k!, adding one reduced Fraction per term."""
+    total = Fraction(0)
+    fact = 1
+    for k in range(n + 1):
+        if k > 0:
+            fact *= k
+        total += Fraction((-1) ** k, fact)
+    return 1 - total
+
+
+def gf_coefficients_by_terms(n_max: int) -> tuple[Fraction, ...]:
+    """Coefficients 0..n_max of (sum_i x^i) * (1 - sum_j (-x)^j/j!) in Fractions.
+
+    The convolution runs term by term on reduced Fractions, with no common
+    integer scale.
+    """
+    geometric = [Fraction(1)] * (n_max + 1)
+    exp_part = [Fraction(0)] * (n_max + 1)
+    fact = 1
+    for j in range(1, n_max + 1):
+        fact *= j
+        exp_part[j] = Fraction((-1) ** (j + 1), fact)
+    coeffs = []
+    for k in range(n_max + 1):
+        c_k = Fraction(0)
+        for j in range(k + 1):
+            c_k += geometric[k - j] * exp_part[j]
+        coeffs.append(c_k)
+    return tuple(coeffs)
+
+
+def alternating_bound_by_pairs(table) -> str:
+    """The ``alternating-bound`` check over all O(n^2) pairs n < m.
+
+    Returns the line ``str(CheckResult)`` prints: ``PASS alternating-bound``
+    or ``FAIL alternating-bound: <detail>`` naming the first failing (n, m)
+    in ascending n, then ascending m.
+    """
+    bounds = []
+    fact = 1
+    for j in range(1, table.n_max + 2):
+        fact *= j
+        bounds.append(Fraction(1, fact))  # bounds[n] = 1/(n+1)!
+    d = [table.d(n) for n in range(table.n_max + 1)]
+    for n in range(table.n_max + 1):
+        bound_n = bounds[n]
+        for m in range(n + 1, table.n_max + 1):
+            if abs(d[n] - d[m]) > bound_n:
+                return (
+                    "FAIL alternating-bound: "
+                    f"|D_{n} - D_{m}| = {abs(d[n] - d[m])} exceeds "
+                    f"1/{n + 1}! = {bound_n} (n={n}, m={m})"
+                )
+    return "PASS alternating-bound"

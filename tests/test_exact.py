@@ -19,7 +19,14 @@ from pilegame.exact import (
     solve_recursive,
     solve_telescoping,
 )
-from reference import BRUTE_DERANGEMENTS, BRUTE_R, D10_COUNT, D10_PROB_REDUCED
+from reference import (
+    BRUTE_DERANGEMENTS,
+    BRUTE_R,
+    D10_COUNT,
+    D10_PROB_REDUCED,
+    closed_form_by_terms,
+    gf_coefficients_by_terms,
+)
 
 
 def test_recursive_base_cases():
@@ -102,6 +109,19 @@ def test_all_methods_agree_exactly():
     for n in range(n_max + 1):
         values = {t.r[n] for t in tables}
         assert len(values) == 1, f"methods disagree at n={n}: {values}"
+
+
+def test_integer_routes_match_per_term_fraction_sums():
+    """The integer-scaled closed form and gf equal per-term Fraction sums."""
+    for n in range(81):
+        assert closed_form(n) == closed_form_by_terms(n), f"closed_form({n})"
+        assert gf_coefficients(n) == gf_coefficients_by_terms(n), f"gf_coefficients({n})"
+
+
+def test_all_routes_equal_recursive_at_n_max_1000():
+    reference = solve_recursive(1000)
+    for route in (solve_telescoping, closed_form_table, gf_table):
+        assert route(1000).r == reference.r, route.__name__
 
 
 def test_solve_dispatch():

@@ -1,9 +1,12 @@
 """Tests for the named cross-check machinery, including tamper detection."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pilegame.exact import derangements, solve_recursive
 from pilegame.steps import expected_steps, q_sequence
@@ -21,6 +24,7 @@ from pilegame.verify import (
     check_telescoping_differences,
     run_checks,
 )
+from reference import alternating_bound_by_pairs
 
 EXPECTED_IDS = [
     "base-cases",
@@ -48,8 +52,56 @@ def _corrupt_table(table, n, value):
     return dataclasses.replace(table, r=tuple(r))
 
 
+def _nudged(value, offset):
+    """value + offset, clamped to [0, 1] so the table stays a valid WinTable."""
+    return min(max(value + offset, Fraction(0)), Fraction(1))
+
+
+_SIGNED_POWERS_OF_TEN = st.builds(
+    lambda sign, k: sign * Fraction(1, 10**k),
+    st.sampled_from((1, -1)),
+    st.integers(0, 40),
+)
+
+
+@st.composite
+def _tampered_tables(draw):
+    """solve_recursive(n_max) with 1-3 entries changed, each kept in [0, 1].
+
+    An entry is set to the value of another entry (a tie), moved by
+    +-1/10^k, or set exactly 1/(min(n, m)+1)! away from some entry m (a tie
+    with the bound). R_0, R_1 and R_2 are pinned by WinTable, so tampers
+    start at n = 3 and an n_max = 2 table stays honest.
+    """
+    honest = solve_recursive(draw(st.integers(2, 60)))
+    n_max = honest.n_max
+    r = list(honest.r)
+    if n_max >= 3:
+        for n in draw(st.lists(st.integers(3, n_max), min_size=1, max_size=3)):
+            kind = draw(st.sampled_from(("tie", "shift", "edge")))
+            if kind == "tie":
+                r[n] = r[draw(st.integers(0, n_max))]
+            elif kind == "shift":
+                r[n] = _nudged(r[n], draw(_SIGNED_POWERS_OF_TEN))
+            else:
+                m = draw(st.integers(0, n_max).filter(lambda m: m != n))
+                edge = Fraction(1, math.factorial(min(n, m) + 1))
+                r[n] = _nudged(r[m], draw(st.sampled_from((edge, -edge))))
+    return dataclasses.replace(honest, r=tuple(r))
+
+
+HONEST_200 = solve_recursive(200)
+DERANGEMENTS_200 = derangements(200)
+
+
 def test_all_checks_pass_on_honest_inputs():
     results = run_checks(n_max=60, oracle_max=8)
+    assert [r.check_id for r in results] == EXPECTED_IDS
+    assert all(r.passed for r in results), [str(r) for r in results if not r.passed]
+
+
+def test_all_checks_pass_at_n_max_1000():
+    results = run_checks(n_max=1000, oracle_max=12)
     assert [r.check_id for r in results] == EXPECTED_IDS
     assert all(r.passed for r in results), [str(r) for r in results if not r.passed]
 
@@ -146,3 +198,31 @@ def test_tampered_table_fails_limit_gap():
     result = check_limit_gap(tampered)
     assert not result.passed
     assert "n=15" in result.detail
+
+
+def test_derangement_identity_fails_on_size_mismatch():
+    small_dtable = check_derangement_identity(solve_recursive(40), derangements(2))
+    assert str(small_dtable) == "FAIL derangement-identity: table sizes differ: 40 vs 2"
+    small_table = check_derangement_identity(solve_recursive(2), derangements(40))
+    assert str(small_table) == "FAIL derangement-identity: table sizes differ: 2 vs 40"
+
+
+@settings(deadline=None)
+@given(_tampered_tables())
+def test_alternating_bound_matches_pair_scan(table):
+    assert str(check_alternating_bound(table)) == alternating_bound_by_pairs(table)
+
+
+@settings(deadline=None)
+@given(n=st.integers(3, 200), data=st.data())
+def test_single_entry_tamper_is_caught_and_named(n, data):
+    honest = HONEST_200.r[n]
+    value = data.draw(
+        st.fractions(0, 1) | _SIGNED_POWERS_OF_TEN.map(lambda offset: _nudged(honest, offset))
+    )
+    assume(value != honest)
+    tampered = _corrupt_table(HONEST_200, n, value)
+    pair = check_tables_equal("recursive-vs-tampered", HONEST_200, tampered)
+    identity = check_derangement_identity(tampered, DERANGEMENTS_200)
+    assert not pair.passed and pair.detail.endswith(f" at n={n}")
+    assert not identity.passed and identity.detail.endswith(f" (n={n})")
