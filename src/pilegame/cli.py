@@ -20,7 +20,7 @@ import click
 from . import __version__
 from .exact import METHODS, closed_form, derangements, gap_to_limit, solve, solve_recursive
 from .oracle import MEMOIZED_MAX_N
-from .simulate import Z_BY_LEVEL, run_trials
+from .simulate import MAX_PILE, Z_BY_LEVEL, run_trials
 from .steps import expected_steps
 from .verify import run_checks
 
@@ -99,8 +99,8 @@ def solve_cmd(n_max: int, method: str, fmt: str) -> None:
 
 
 @main.command()
-@click.option("--n", type=click.IntRange(min=1), required=True,
-              help="Initial pile size (>= 1).")
+@click.option("--n", type=click.IntRange(min=1, max=MAX_PILE), required=True,
+              help="Initial pile size (1 to 2**64).")
 @click.option("--trials", type=click.IntRange(min=1), default=100_000,
               help="Number of independent games.")
 @click.option("--seed", type=click.IntRange(min=0, max=_U64_MAX), default=0,

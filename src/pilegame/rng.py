@@ -5,11 +5,41 @@ algorithmically instead of delegating to a library so that identical seeds
 give identical draw sequences on any platform or interpreter version.
 Bounded draws take the high bits of each 64-bit output and reject values
 outside the range, so they are exactly uniform.
+
+``Xoshiro256StarStar`` is the scalar reference. ``stream`` yields the same
+outputs faster: the generator's state update is linear over GF(2), so the
+state ``LANE_STEPS`` steps ahead is a fixed 256x256 bit matrix times the
+state. ``stream`` uses that jump to start many lanes, each on its own
+consecutive run of the stream, and steps all of them at once with one
+big-int operation per term of the step.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from functools import cache, reduce
+from itertools import chain
+from operator import getitem, xor
+from typing import Iterator
+
 MASK64 = (1 << 64) - 1
+
+#: Outputs each lane of ``stream`` produces per batch, and so the distance
+#: of ``jump``.
+LANE_STEPS = 128
+
+#: Lanes of the largest batch. A batch buffers 16 bytes per output (a lane
+#: sits in a 128-bit slot), so 64 lanes hold 128 KiB.
+MAX_LANES = 64
+
+#: One lane's slot: a 64-bit state word or output below 64 guard bits,
+#: which take the carries of ``* 5`` and ``* 9`` and the spill of shifts.
+_SLOT_BYTES = 16
+_SLOT_MASK = b"\xff" * 8 + b"\x00" * 8
+
+#: Maps each ASCII hex digit to its value.
+_HEX_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -78,3 +108,114 @@ class Xoshiro256StarStar:
             v = self.next_u64() >> shift
             if v < m:
                 return v + 1
+
+
+def _pack(states: list[int]) -> list[int]:
+    """Four ints whose 128-bit slot i holds word w of the 256-bit ``states[i]``.
+
+    A 256-bit state is ``s0 | s1 << 64 | s2 << 128 | s3 << 192``.
+    """
+    return [
+        int.from_bytes(
+            b"".join((x >> shift & MASK64).to_bytes(_SLOT_BYTES, "little") for x in states),
+            "little",
+        )
+        for shift in (0, 64, 128, 192)
+    ]
+
+
+def _unpack(packed: list[int], lanes: int) -> list[int]:
+    """The 256-bit states of the first ``lanes`` slots of ``packed``."""
+    return [
+        sum((word >> 128 * i & MASK64) << 64 * w for w, word in enumerate(packed))
+        for i in range(lanes)
+    ]
+
+
+def _step_lanes(packed: list[int], lanes: int, steps: int, out: array | None = None) -> list[int]:
+    """Advance every packed lane ``steps`` times; return the packed end states.
+
+    This is ``next_u64`` on all slots at once. Between steps the high word
+    of every slot is zero; the slot mask clears what a shift or product
+    carried into it, so no lane reaches its neighbour. If ``out`` is given,
+    each step appends every lane's output to it, one 128-bit slot per lane
+    with the output in the low word (the high word holds the carry of
+    ``* 9``).
+    """
+    s0, s1, s2, s3 = packed
+    mask = int.from_bytes(_SLOT_MASK * lanes, "little")
+    width = _SLOT_BYTES * lanes
+    for _ in range(steps):
+        if out is not None:
+            x = s1 * 5 & mask
+            out.frombytes((((x << 7 | x >> 57) & mask) * 9).to_bytes(width, "little"))
+        t = s1 << 17 & mask
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = (s3 << 45 | s3 >> 19) & mask
+    return [s0, s1, s2, s3]
+
+
+@cache
+def _jump_tables() -> tuple[tuple[int, ...], ...]:
+    """4-bit lookup tables of the ``LANE_STEPS``-step jump.
+
+    The step is linear over GF(2), so the jump maps a state to the XOR of
+    the columns of its set bits, where column b is where the unit state
+    ``1 << b`` goes in ``LANE_STEPS`` steps. Table g, counted from the most
+    significant nibble, maps that nibble's value to the XOR of its columns.
+    Built on first use (a few milliseconds), never at import.
+    """
+    columns = _unpack(_step_lanes(_pack([1 << b for b in range(256)]), 256, LANE_STEPS), 256)
+    tables = []
+    for g in reversed(range(64)):
+        table = [0]
+        for v in range(1, 16):
+            low = v & -v
+            table.append(table[v ^ low] ^ columns[4 * g + low.bit_length() - 1])
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def jump(x: int) -> int:
+    """The 256-bit state ``LANE_STEPS`` steps after the 256-bit state ``x``."""
+    nibbles = x.to_bytes(32, "big").hex().encode().translate(_HEX_DIGITS)
+    return reduce(xor, map(getitem, _jump_tables(), nibbles))
+
+
+def _lane_runs(state: tuple[int, int, int, int]) -> Iterator[array]:
+    """Consecutive runs of ``LANE_STEPS`` outputs from ``state`` on.
+
+    Each batch steps its lanes together: lane i starts ``jump`` of lane
+    i - 1, and lane 0 of the next batch starts where the last lane ended.
+    Batches double from one lane to ``MAX_LANES``, so a short block does
+    not pay for a full batch or for the jump tables.
+    """
+    s0, s1, s2, s3 = state
+    x = s0 | s1 << 64 | s2 << 128 | s3 << 192
+    lanes = 1
+    while True:
+        starts = [x]
+        for _ in range(lanes - 1):
+            starts.append(jump(starts[-1]))
+        out = array("Q")
+        end = _step_lanes(_pack(starts), lanes, LANE_STEPS, out)
+        if sys.byteorder == "big":
+            out.byteswap()
+        x = _unpack([word >> 128 * (lanes - 1) for word in end], 1)[0]
+        for i in range(0, 2 * lanes, 2):
+            yield out[i :: 2 * lanes]
+        lanes = min(2 * lanes, MAX_LANES)
+
+
+def stream(state: tuple[int, int, int, int]) -> Iterator[int]:
+    """Endless raw outputs of the xoshiro256** stream that starts in ``state``.
+
+    The same values, in the same order, as successive ``next_u64`` calls of
+    a ``Xoshiro256StarStar`` in that state, made in lanes (see
+    ``_lane_runs``) instead of one step at a time.
+    """
+    return chain.from_iterable(_lane_runs(state))

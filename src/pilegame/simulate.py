@@ -6,18 +6,28 @@ contiguous blocks; block i draws from a private generator stream seeded
 with splitmix64(seed XOR (i + 1)), and per-block tallies are merged by
 integer addition. Neither OS scheduling nor the size of the process pool
 can therefore affect the numbers -- a single-process run of the same
-partition gives bit-identical output.
+partition gives bit-identical output, and so does the inline fallback
+used when the process pool cannot start.
+
+Each block plays its games over ``rng.stream``: the generator's raw
+outputs in stream order, made in lanes that each cover a consecutive run
+of the stream. A block therefore consumes exactly the outputs a scalar
+``Xoshiro256StarStar`` would give ``play_game``, and the tallies are those
+of the scalar loop; only the speed differs.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .rng import MASK64, expand_seed, splitmix64
+from .rng import MASK64, expand_seed, splitmix64, stream
+
+#: Largest pile the simulator accepts: a draw uses one 64-bit output.
+MAX_PILE = 1 << 64
 
 #: z-values for the supported two-sided confidence levels. Levels outside
 #: this table are rejected rather than approximated with an inverse-normal
@@ -122,43 +132,39 @@ def play_game(n: int, rng) -> GameTranscript:
 def _run_block(n: int, count: int, state: tuple[int, int, int, int]) -> tuple[int, int, int]:
     """Play ``count`` games from pile ``n`` on one generator stream.
 
-    Hot path: the xoshiro256** step and the game loop are inlined here and
-    must consume the stream exactly like ``play_game`` over a
-    ``Xoshiro256StarStar`` (test_simulate pins that equivalence). Returns
-    (deterministic wins, sum of R-move counts, sum of squared counts).
+    Hot path. The outputs come from ``rng.stream(state)``, which makes the
+    stream in lanes: lane i of a batch starts ``rng.LANE_STEPS`` steps after
+    lane i - 1 (a jump derived from the generator's own linear step), all
+    lanes step together as slots of a few big ints, and the lanes are read
+    back one after another. That is the stream a scalar generator would
+    give, in its order, so this loop consumes it exactly like ``play_game``
+    over a ``Xoshiro256StarStar`` in ``state`` (test_simulate pins that
+    equivalence). A draw for pile p keeps the top bits of one output that
+    can hold p - 1 and rejects values >= p. Returns (deterministic wins,
+    sum of R-move counts, sum of squared counts).
     """
-    s0, s1, s2, s3 = state
-    d_wins = 0
-    steps_sum = 0
-    steps_sq_sum = 0
-    for _ in range(count):
-        pile = n
-        r_steps = 0
-        while True:
-            shift = 64 - (pile - 1).bit_length()
-            while True:
-                x = (s1 * 5) & MASK64
-                out = (((x << 7) | (x >> 57)) & MASK64) * 9 & MASK64
-                t = (s1 << 17) & MASK64
-                s2 ^= s0
-                s3 ^= s1
-                s1 ^= s2
-                s0 ^= s3
-                s2 ^= t
-                s3 = ((s3 << 45) | (s3 >> 19)) & MASK64
-                v = out >> shift
-                if v < pile:
-                    break
+    d_wins = steps_sum = steps_sq_sum = 0
+    if count < 1:
+        return d_wins, steps_sum, steps_sq_sum
+    first_shift = 64 - (n - 1).bit_length()
+    pile, shift, r_steps = n, first_shift, 0
+    for out in stream(state):
+        v = out >> shift
+        if v < pile:
             r_steps += 1
             pile -= v + 1
-            if pile == 0:
+            if pile > 1:
+                pile -= 1
+                shift = 64 - (pile - 1).bit_length()
+                continue
+            # Pile 0: R took the last counter. Pile 1: D takes it.
+            d_wins += pile
+            steps_sum += r_steps
+            steps_sq_sum += r_steps * r_steps
+            count -= 1
+            if not count:
                 break
-            pile -= 1
-            if pile == 0:
-                d_wins += 1
-                break
-        steps_sum += r_steps
-        steps_sq_sum += r_steps * r_steps
+            pile, shift, r_steps = n, first_shift, 0
     return d_wins, steps_sum, steps_sq_sum
 
 
@@ -173,6 +179,17 @@ def block_sizes(trials: int, workers: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(workers)]
 
 
+def _pool_parts(n: int, jobs: list) -> list[tuple[int, int, int]]:
+    """``_run_block`` of every job in a process pool, in job order."""
+    # Imported here: the pool machinery costs start-up time on every import
+    # of the package, and most runs never start a pool.
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
+        futures = [pool.submit(_run_block, n, size, state) for size, state in jobs]
+        return [future.result() for future in futures]
+
+
 def run_trial_sums(n: int, trials: int, seed: int = 0, workers: int = 1) -> TrialSums:
     """Raw tallies over ``trials`` independent games; core of ``run_trials``.
 
@@ -181,6 +198,8 @@ def run_trial_sums(n: int, trials: int, seed: int = 0, workers: int = 1) -> Tria
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n > MAX_PILE:
+        raise ValueError(f"n must be at most 2**64 (one 64-bit output per draw), got {n}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if workers < 1:
@@ -192,13 +211,15 @@ def run_trial_sums(n: int, trials: int, seed: int = 0, workers: int = 1) -> Tria
         for i, size in enumerate(block_sizes(trials, workers))
         if size > 0
     ]
-    if len(jobs) == 1 or trials <= _INLINE_TRIALS_LIMIT:
+    parts = None
+    if len(jobs) > 1 and trials > _INLINE_TRIALS_LIMIT:
+        try:
+            parts = _pool_parts(n, jobs)
+        except (OSError, NotImplementedError) as exc:
+            print(f"pilegame: process pool did not start ({exc!r}); "
+                  f"running {len(jobs)} blocks inline", file=sys.stderr)
+    if parts is None:
         parts = [_run_block(n, size, state) for size, state in jobs]
-    else:
-        pool_size = min(len(jobs), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            futures = [pool.submit(_run_block, n, size, state) for size, state in jobs]
-            parts = [future.result() for future in futures]
     return TrialSums(
         d_wins=sum(p[0] for p in parts),
         steps_sum=sum(p[1] for p in parts),
@@ -216,7 +237,7 @@ def run_trials(
     """Play ``trials`` games and report the deterministic player's win rate.
 
     Args:
-        n: Initial pile size, at least 1.
+        n: Initial pile size, 1..2**64 (``MAX_PILE``).
         trials: Number of independent games, at least 1.
         seed: Unsigned 64-bit master seed.
         workers: Number of contiguous trial blocks / generator streams.

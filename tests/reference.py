@@ -9,11 +9,16 @@ the frozen tables from the routines on every run.
 The ``*_by_terms`` and ``*_by_pairs`` routines at the end are the slow,
 direct forms of fast package code: per-term ``Fraction`` sums for the
 closed form and the generating function, and the scan over every pair for
-the alternating bound. Tests require the package to agree with them exactly.
+the alternating bound. ``generator_in`` and ``block_by_play_game`` play the
+same role for the simulator's lane-generated stream. Tests require the
+package to agree with them exactly.
 """
 
 from fractions import Fraction
 from itertools import permutations
+
+from pilegame.rng import Xoshiro256StarStar
+from pilegame.simulate import play_game
 
 # Random-player win probabilities R_n from exhaustive game-tree expansion.
 BRUTE_R = {
@@ -157,3 +162,22 @@ def alternating_bound_by_pairs(table) -> str:
                     f"1/{n + 1}! = {bound_n} (n={n}, m={m})"
                 )
     return "PASS alternating-bound"
+
+
+def generator_in(state):
+    """The scalar reference generator, set to the 256-bit ``state`` tuple."""
+    rng = Xoshiro256StarStar(0)
+    rng._s0, rng._s1, rng._s2, rng._s3 = state
+    return rng
+
+
+def block_by_play_game(n, count, state):
+    """``simulate._run_block``'s tallies from ``play_game`` on the scalar generator."""
+    rng = generator_in(state)
+    wins = steps = squares = 0
+    for _ in range(count):
+        game = play_game(n, rng)
+        wins += game.winner == "D"
+        steps += game.r_steps
+        squares += game.r_steps * game.r_steps
+    return wins, steps, squares

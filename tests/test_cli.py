@@ -205,6 +205,13 @@ def test_solve_large_n_max_prints_exact_columns(fmt):
 #: First 16 hex digits of the SHA-256 of stdout. They pin header order, JSON
 #: ``meta`` key order and every byte of each report: stdout is byte-identical
 #: for identical arguments, so a changed digest is a changed output contract.
+def test_simulate_rejects_piles_above_two_to_the_64():
+    result = _run("simulate", "--n", str(2**64 + 1), "--trials", "10")
+    assert result.exit_code == 2
+    assert "Invalid value for '--n'" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 GOLDEN_STDOUT = {
     "solve --n-max 12": "79c7a98be0bf3185",
     "solve --n-max 12 --method telescoping --format json": "265042bab92c0f40",

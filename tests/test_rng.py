@@ -1,8 +1,28 @@
 """Tests for the seedable generator and its bounded draws."""
 
-import pytest
+import subprocess
+import sys
+from itertools import islice
 
-from pilegame.rng import MASK64, Xoshiro256StarStar, expand_seed, splitmix64
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pilegame.rng import (
+    LANE_STEPS,
+    MASK64,
+    MAX_LANES,
+    Xoshiro256StarStar,
+    expand_seed,
+    jump,
+    splitmix64,
+    stream,
+)
+
+from reference import generator_in
+
+#: Any valid xoshiro256** state: four 64-bit words, not all zero.
+states = st.tuples(*[st.integers(0, MASK64)] * 4).filter(any)
 
 
 def test_splitmix64_reference_vector():
@@ -102,3 +122,32 @@ def test_draw_covers_rejection_path():
     g = Xoshiro256StarStar(11)
     seen = {g.draw(3) for _ in range(1000)}
     assert seen == {1, 2, 3}
+
+
+def _as_int(state):
+    return sum(word << 64 * i for i, word in enumerate(state))
+
+
+@settings(deadline=None)
+@given(states)
+def test_jump_equals_lane_steps_scalar_steps(state):
+    rng = generator_in(state)
+    for _ in range(LANE_STEPS):
+        rng.next_u64()
+    assert jump(_as_int(state)) == _as_int(rng.state)
+
+
+@settings(max_examples=10, deadline=None)
+@given(states)
+def test_stream_equals_successive_next_u64(state):
+    # Batches have 1, 2, 4, ..., MAX_LANES lanes, then MAX_LANES each: this
+    # runs through every growing batch and two full ones after them.
+    count = LANE_STEPS * (2 * MAX_LANES - 1 + 2 * MAX_LANES)
+    rng = generator_in(state)
+    assert list(islice(stream(state), count)) == [rng.next_u64() for _ in range(count)]
+
+
+def test_jump_tables_are_not_built_at_import():
+    code = "import pilegame.cli, pilegame.rng; print(pilegame.rng._jump_tables.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"

@@ -1,13 +1,19 @@
 """Tests for the game simulator: transcripts, aggregation, reproducibility."""
 
+import concurrent.futures
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pilegame.exact import solve_recursive
-from pilegame.rng import Xoshiro256StarStar, expand_seed
+from pilegame.rng import MASK64, Xoshiro256StarStar, expand_seed
 from pilegame.simulate import (
+    MAX_PILE,
     Move,
     SimResult,
     _run_block,
@@ -18,6 +24,8 @@ from pilegame.simulate import (
     stream_seed,
     wilson_interval,
 )
+
+from reference import block_by_play_game
 
 
 class ScriptedRng:
@@ -86,18 +94,67 @@ def test_transcripts_are_legal():
 
 
 def test_fast_block_matches_play_game():
-    """The inlined block loop consumes the stream exactly like play_game."""
+    """The block loop consumes the stream exactly like play_game."""
     for n in (1, 2, 3, 7, 12):
-        seed = 4242 + n
-        rng = Xoshiro256StarStar(seed)
-        wins = steps = sq = 0
-        games = 2000
-        for _ in range(games):
-            game = play_game(n, rng)
-            wins += 1 if game.winner == "D" else 0
-            steps += game.r_steps
-            sq += game.r_steps * game.r_steps
-        assert _run_block(n, games, expand_seed(seed)) == (wins, steps, sq), f"n={n}"
+        state = expand_seed(4242 + n)
+        assert _run_block(n, 2000, state) == block_by_play_game(n, 2000, state), f"n={n}"
+
+
+#: Piles at the edges of the draw: forced draws, small ranges with and
+#: without rejection, every power of two and its neighbours, and the largest.
+edge_piles = st.one_of(
+    st.sampled_from([1, 2, 3, 2**63, MAX_PILE]),
+    st.integers(1, 64).map(lambda k: 2**k - 1),
+    st.integers(1, 63).map(lambda k: 2**k + 1),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=edge_piles, seed=st.integers(0, MASK64), data=st.data())
+def test_block_matches_play_game_across_batches(n, seed, data):
+    # Up to about 30 000 raw outputs: many 128-output lanes and several
+    # batches, up to and past the first one with the most lanes.
+    count = data.draw(st.integers(0, 30_000 // (1 + n.bit_length())), label="count")
+    state = expand_seed(seed)
+    assert _run_block(n, count, state) == block_by_play_game(n, count, state)
+
+
+def test_largest_pile_runs_and_matches_play_game():
+    sums = run_trial_sums(MAX_PILE, 50, seed=3)
+    expected = block_by_play_game(MAX_PILE, 50, expand_seed(stream_seed(3, 0)))
+    assert (sums.d_wins, sums.steps_sum, sums.steps_sq_sum) == expected
+
+
+def test_piles_above_two_to_the_64_are_rejected():
+    with pytest.raises(ValueError, match="at most 2\\*\\*64"):
+        run_trial_sums(MAX_PILE + 1, 10)
+    with pytest.raises(ValueError, match="at most 2\\*\\*64"):
+        run_trials(MAX_PILE + 1, 10)
+
+
+class _PoolThatCannotStart:
+    def __init__(self, *args, **kwargs):
+        raise OSError("no processes here")
+
+
+def test_pool_that_cannot_start_falls_back_inline(monkeypatch, capsys):
+    n, trials, seed, workers = 5, 100_001, 21, 2
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _PoolThatCannotStart)
+    sums = run_trial_sums(n, trials, seed=seed, workers=workers)
+    manual = [0, 0, 0]
+    for i, size in enumerate(block_sizes(trials, workers)):
+        part = _run_block(n, size, expand_seed(stream_seed(seed, i)))
+        manual = [a + b for a, b in zip(manual, part)]
+    assert (sums.d_wins, sums.steps_sum, sums.steps_sq_sum) == tuple(manual)
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert "process pool did not start" in lines[0] and "no processes here" in lines[0]
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    code = "import sys, pilegame.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_block_sizes_partition_evenly():
