@@ -6,90 +6,50 @@ computes the deterministic player's win probability exactly along four
 independent routes, ties it to derangement counts and to the 1/e limit,
 computes the expected number of random-player moves, simulates games with
 a reproducible generator, and cross-verifies all of it.
+
+``import pilegame`` loads no submodule. Each public name is imported from
+the module that defines it when it is first read (PEP 562), so a program
+that uses only the exact solvers never loads the simulator or the checks.
 """
 
-from .exact import (
-    E_INVERSE,
-    FLOAT_SLACK,
-    METHODS,
-    DerangementTable,
-    LimitGap,
-    WinTable,
-    closed_form,
-    closed_form_table,
-    derangement_prob,
-    derangements,
-    gap_to_limit,
-    gf_coefficients,
-    gf_table,
-    solve,
-    solve_recursive,
-    solve_telescoping,
-)
-from .oracle import (
-    MEMOIZED_MAX_N,
-    UNMEMOIZED_MAX_N,
-    OracleResult,
-    evaluate,
-    oracle_expected_steps,
-    oracle_win_prob,
-)
-from .rng import Xoshiro256StarStar, expand_seed, splitmix64
-from .simulate import (
-    Z_BY_LEVEL,
-    GameTranscript,
-    Move,
-    SimResult,
-    TrialSums,
-    play_game,
-    run_trial_sums,
-    run_trials,
-    wilson_interval,
-)
-from .steps import StepsTable, expected_steps, q_sequence
-from .verify import CheckResult, run_checks
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckResult",
-    "DerangementTable",
-    "E_INVERSE",
-    "FLOAT_SLACK",
-    "GameTranscript",
-    "LimitGap",
-    "MEMOIZED_MAX_N",
-    "METHODS",
-    "Move",
-    "OracleResult",
-    "SimResult",
-    "StepsTable",
-    "TrialSums",
-    "UNMEMOIZED_MAX_N",
-    "WinTable",
-    "Xoshiro256StarStar",
-    "Z_BY_LEVEL",
-    "closed_form",
-    "closed_form_table",
-    "derangement_prob",
-    "derangements",
-    "evaluate",
-    "expand_seed",
-    "expected_steps",
-    "gap_to_limit",
-    "gf_coefficients",
-    "gf_table",
-    "oracle_expected_steps",
-    "oracle_win_prob",
-    "play_game",
-    "q_sequence",
-    "run_checks",
-    "run_trial_sums",
-    "run_trials",
-    "solve",
-    "solve_recursive",
-    "solve_telescoping",
-    "splitmix64",
-    "wilson_interval",
-    "__version__",
-]
+#: Submodule -> the public names it defines.
+_MODULES = {
+    "exact": (
+        "E_INVERSE", "FLOAT_SLACK", "METHODS", "DerangementTable", "LimitGap", "WinTable",
+        "closed_form", "closed_form_table", "derangement_prob", "derangements",
+        "gap_to_limit", "gf_coefficients", "gf_table", "solve", "solve_recursive",
+        "solve_telescoping",
+    ),
+    "oracle": (
+        "MEMOIZED_MAX_N", "UNMEMOIZED_MAX_N", "OracleResult", "evaluate",
+        "oracle_expected_steps", "oracle_win_prob",
+    ),
+    "rng": ("Xoshiro256StarStar", "expand_seed", "splitmix64"),
+    "simulate": (
+        "Z_BY_LEVEL", "GameTranscript", "Move", "SimResult", "TrialSums", "play_game",
+        "run_trial_sums", "run_trials", "wilson_interval",
+    ),
+    "steps": ("StepsTable", "expected_steps", "q_sequence"),
+    "verify": ("CheckResult", "run_checks"),
+}
+
+_EXPORTS = {name: module for module, names in _MODULES.items() for name in names}
+
+__all__ = [*sorted(_EXPORTS), "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

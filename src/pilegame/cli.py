@@ -10,8 +10,6 @@ with 17 significant digits and are convenience only. Exit codes: 0 success,
 
 from __future__ import annotations
 
-import csv
-import json
 import sys
 from fractions import Fraction
 
@@ -20,15 +18,43 @@ import click
 from . import __version__
 from .exact import METHODS, closed_form, derangements, gap_to_limit, solve, solve_recursive
 from .oracle import MEMOIZED_MAX_N
-from .simulate import MAX_PILE, Z_BY_LEVEL, run_trials
-from .steps import expected_steps
-from .verify import run_checks
+from .rng import MAX_PILE
 
 _U64_MAX = (1 << 64) - 1
 
 
+# The simulator, the steps recursion and the checks are imported only when a
+# command calls them, so the other commands never load them. The commands
+# look these forwarders up in the module's globals, as they do the exact
+# functions imported above, so replacing ``pilegame.cli.<name>`` observes or
+# replaces every call a command makes.
+def expected_steps(*args, **kwargs):
+    """``steps.expected_steps``, imported on first call."""
+    from .steps import expected_steps as impl
+
+    return impl(*args, **kwargs)
+
+
+def run_trials(*args, **kwargs):
+    """``simulate.run_trials``, imported on first call."""
+    from .simulate import run_trials as impl
+
+    return impl(*args, **kwargs)
+
+
+def run_checks(*args, **kwargs):
+    """``verify.run_checks``, imported on first call."""
+    from .verify import run_checks as impl
+
+    return impl(*args, **kwargs)
+
+
 def _fmt_float(value: float) -> str:
     return format(value, ".17g")
+
+
+#: A CSV cell holding any of these must be quoted to read back as one cell.
+_NEEDS_QUOTES = frozenset(',"\r\n')
 
 
 def _csv_cell(value) -> str:
@@ -38,16 +64,29 @@ def _csv_cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return _fmt_float(value)
+    if isinstance(value, str) and not _NEEDS_QUOTES.isdisjoint(value):
+        raise ValueError(f"CSV cell {value!r} would need quoting")
     return str(value)
 
 
 def _emit(rows: list[dict], fmt: str, method: str, seed: int | None = None) -> None:
-    """Write non-empty ``rows`` to stdout; the CSV header is the first row's keys."""
+    """Write non-empty ``rows`` to stdout.
+
+    CSV: a header of the first row's keys, then one line per row, each
+    written as soon as it is formatted. Every row has the first row's keys
+    in the same order, and no cell needs quoting (``_csv_cell`` raises for
+    one that would), so a line is its cells joined by commas. That is what
+    ``csv.writer(lineterminator="\\n")`` writes for rows of two or more
+    cells, as every report's are; it writes a lone empty cell as ``""``.
+    """
     if fmt == "csv":
-        writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows({name: _csv_cell(value) for name, value in row.items()} for row in rows)
+        write = sys.stdout.write
+        write(",".join(map(_csv_cell, rows[0])) + "\n")
+        for row in rows:
+            write(",".join(map(_csv_cell, row.values())) + "\n")
     else:
+        import json
+
         meta = {"seed": seed, "method": method, "version": __version__}
         click.echo(json.dumps({"rows": rows, "meta": meta}, indent=2))
 
@@ -84,12 +123,11 @@ def solve_cmd(n_max: int, method: str, fmt: str) -> None:
     dtable = derangements(n_max)
     rows = []
     for n in range(n_max + 1):
-        d_exact = table.d(n)
         report = gap_to_limit(n, table)
         rows.append({
             "n": n,
-            "d_prob_num": d_exact.numerator,
-            "d_prob_den": d_exact.denominator,
+            "d_prob_num": report.d_exact.numerator,
+            "d_prob_den": report.d_exact.denominator,
             "d_prob_float": report.d_n_float,
             "gap_to_e_inv": report.gap,
             "d_n": dtable.d[n],
@@ -112,6 +150,8 @@ def solve_cmd(n_max: int, method: str, fmt: str) -> None:
 @_format_option
 def simulate(n: int, trials: int, seed: int, workers: int, ci_level: float, fmt: str) -> None:
     """Monte Carlo estimate of the deterministic player's win probability."""
+    from .simulate import Z_BY_LEVEL
+
     if ci_level not in Z_BY_LEVEL:
         raise click.UsageError(
             f"--ci-level must be one of {sorted(Z_BY_LEVEL)}, got {ci_level}"

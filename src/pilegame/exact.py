@@ -118,14 +118,21 @@ class DerangementTable:
 class LimitGap:
     """Distance between D_n and 1/e, with its alternating-series bound.
 
-    ``gap`` is measured in double precision between the nearest-double
-    ``d_n_float`` and ``E_INVERSE``; ``bound`` is the exact 1/(n+1)!.
-    The contract is gap <= bound + FLOAT_SLACK.
+    ``d_exact`` is the exact D_n and ``d_n_float`` its nearest double;
+    ``gap`` is measured in double precision between ``d_n_float`` and
+    ``E_INVERSE``. ``bound`` is the exact 1/(n+1)!, computed each time it
+    is read, so a caller that prints only the gap never builds it. The
+    contract is gap <= bound + FLOAT_SLACK.
     """
 
+    n: int
+    d_exact: Fraction
     d_n_float: float
     gap: float
-    bound: Fraction
+
+    @property
+    def bound(self) -> Fraction:
+        return Fraction(1, math.factorial(self.n + 1))
 
 
 def solve_recursive(n_max: int) -> WinTable:
@@ -273,12 +280,10 @@ def solve(n_max: int, method: str) -> WinTable:
 def gap_to_limit(n: int, table: WinTable) -> LimitGap:
     """Measure how far D_n sits from 1/e.
 
-    Returns the nearest-double value of D_n, the double-precision distance
-    to ``E_INVERSE``, and the exact alternating-series bound 1/(n+1)!.
+    Returns the exact D_n, its nearest-double value, the double-precision
+    distance to ``E_INVERSE``, and (as ``bound``) the exact
+    alternating-series bound 1/(n+1)!.
     """
-    d_float = float(table.d(n))
-    return LimitGap(
-        d_n_float=d_float,
-        gap=abs(d_float - E_INVERSE),
-        bound=Fraction(1, math.factorial(n + 1)),
-    )
+    d_exact = table.d(n)
+    d_float = float(d_exact)
+    return LimitGap(n=n, d_exact=d_exact, d_n_float=d_float, gap=abs(d_float - E_INVERSE))

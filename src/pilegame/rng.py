@@ -25,6 +25,10 @@ from typing import Iterator
 
 MASK64 = (1 << 64) - 1
 
+#: Largest bound ``draw`` accepts, and so the largest pile the simulator
+#: plays: a draw keeps the top bits of one 64-bit output.
+MAX_PILE = 1 << 64
+
 #: Outputs each lane of ``stream`` produces per batch, and so the distance
 #: of ``jump``.
 LANE_STEPS = 128
@@ -103,6 +107,8 @@ class Xoshiro256StarStar:
         """
         if m < 1:
             raise ValueError(f"draw bound must be >= 1, got {m}")
+        if m > MAX_PILE:
+            raise ValueError(f"draw bound must be at most 2**64 (one 64-bit output), got {m}")
         shift = 64 - (m - 1).bit_length()
         while True:
             v = self.next_u64() >> shift

@@ -10,13 +10,17 @@ The ``*_by_terms`` and ``*_by_pairs`` routines at the end are the slow,
 direct forms of fast package code: per-term ``Fraction`` sums for the
 closed form and the generating function, and the scan over every pair for
 the alternating bound. ``generator_in`` and ``block_by_play_game`` play the
-same role for the simulator's lane-generated stream. Tests require the
-package to agree with them exactly.
+same role for the simulator's lane-generated stream, and ``csv_report`` for
+the CLI's streamed CSV writer. Tests require the package to agree with them
+exactly.
 """
 
+import csv
+import io
 from fractions import Fraction
 from itertools import permutations
 
+from pilegame.cli import _csv_cell
 from pilegame.rng import Xoshiro256StarStar
 from pilegame.simulate import play_game
 
@@ -181,3 +185,17 @@ def block_by_play_game(n, count, state):
         steps += game.r_steps
         squares += game.r_steps * game.r_steps
     return wins, steps, squares
+
+
+def csv_report(rows):
+    """A CSV report of ``rows`` as the standard library's ``csv.DictWriter`` writes it.
+
+    The reference for the CLI's ``_emit``, which joins each line itself. The
+    header is the first row's keys and every cell goes through the CLI's own
+    ``_csv_cell``, so a comparison tests how the lines are put together.
+    """
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows({name: _csv_cell(value) for name, value in row.items()} for row in rows)
+    return out.getvalue()

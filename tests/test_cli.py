@@ -1,18 +1,26 @@
 """Tests for the command-line surface: formats, exit codes, determinism."""
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
 import io
 import json
+import math
+import sys
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
+import pilegame.cli as cli
 import pilegame.verify
 from pilegame.cli import main
-from pilegame.exact import derangements, solve_recursive, solve_telescoping
+from pilegame.exact import METHODS, derangements, solve_recursive, solve_telescoping
+
+from reference import csv_report
 
 
 def _run(*args):
@@ -229,3 +237,120 @@ def test_stdout_is_byte_identical_to_golden(args):
     result = _run(*args.split())
     assert result.exit_code == 0
     assert hashlib.sha256(result.output.encode()).hexdigest()[:16] == GOLDEN_STDOUT[args]
+
+
+def _emitted(rows):
+    """What ``_emit`` writes for ``rows`` as CSV."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(rows, "csv", "test")
+    return out.getvalue()
+
+
+@contextlib.contextmanager
+def _whole_ints():
+    """Lift CPython's int-to-str digit limit, as the CLI's ``main`` does."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python 3.10 has no limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+_huge = st.integers(10**4300, 10**4400)
+
+#: Every kind of cell a report holds.
+cells = st.one_of(
+    st.integers(),
+    _huge,
+    _huge.map(lambda x: -x),
+    st.floats(),
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 1e300, 5e-324, 1e16, 1.5e-7]),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(METHODS + ("simulate", "steps", "convergence")),
+)
+
+
+@st.composite
+def reports(draw):
+    # Two or more columns, as every report has: csv.writer writes a row of
+    # one empty cell as "" so that it does not read as a blank line.
+    names = draw(st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,11}", fullmatch=True),
+                          min_size=2, max_size=7, unique=True))
+    rows = draw(st.lists(st.tuples(*[cells] * len(names)), min_size=1, max_size=5))
+    return [dict(zip(names, row)) for row in rows]
+
+
+@given(reports())
+def test_csv_report_is_what_the_csv_module_writes(rows):
+    with _whole_ints():
+        assert _emitted(rows) == csv_report(rows)
+
+
+@pytest.mark.parametrize("char", [",", '"', "\r", "\n"])
+def test_csv_cell_that_would_need_quotes_raises(char):
+    rows = [{"n": 1, "method": "recursive"}, {"n": 2, "method": f"re{char}cursive"}]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(ValueError, match="would need quoting"):
+        cli._emit(rows, "csv", "test")
+    assert out.getvalue() == "n,method\n1,recursive\n"
+
+
+#: The CSV reports of the cli-report benchmark's command mix.
+BENCHMARK_CSV_COMMANDS = [
+    "solve --n-max 200",
+    "solve --n-max 1000",
+    "steps --n-max 200",
+    "convergence --n-max 20",
+    "simulate --n 10 --trials 100000 --seed 1",
+]
+
+
+@pytest.mark.parametrize("args", BENCHMARK_CSV_COMMANDS)
+def test_command_csv_is_what_the_csv_module_writes(args, monkeypatch):
+    emitted = []
+    real = cli._emit
+
+    def spy(rows, *rest):
+        emitted.append(rows)
+        real(rows, *rest)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    result = _run(*args.split())
+    assert result.exit_code == 0
+    assert len(emitted) == 1
+    assert result.output == csv_report(emitted[0])
+
+
+#: The names in ``pilegame.cli`` that the cli-report benchmark wraps to time
+#: the commands, each with a command that calls it.
+WRAPPED_NAMES = {
+    "solve": "solve --n-max 5",
+    "solve_recursive": "convergence --n-max 5",
+    "closed_form": "simulate --n 5 --trials 100",
+    "derangements": "solve --n-max 5",
+    "gap_to_limit": "convergence --n-max 5",
+    "expected_steps": "steps --n-max 5",
+    "run_trials": "simulate --n 5 --trials 100",
+    "run_checks": "verify --n-max 10 --oracle-max 4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRAPPED_NAMES))
+def test_commands_call_the_wrapped_names_through_the_cli_module(name, monkeypatch):
+    real = getattr(cli, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    result = _run(*WRAPPED_NAMES[name].split())
+    assert result.exit_code == 0, result.output
+    assert calls

@@ -1,0 +1,63 @@
+"""Tests for what importing the package loads, each in a fresh interpreter."""
+
+import subprocess
+import sys
+
+
+def _fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter; its stdout, stripped."""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
+def _loaded(code: str) -> list[str]:
+    """The pilegame modules loaded after running ``code`` in a new interpreter."""
+    listing = "; import sys; print(*sorted(m for m in sys.modules if m.startswith('pilegame')))"
+    return _fresh(code + listing).split()
+
+
+def test_import_pilegame_loads_no_submodule():
+    assert _loaded("import pilegame") == ["pilegame"]
+
+
+def test_import_cli_loads_only_what_every_command_needs():
+    assert _loaded("import pilegame.cli") == [
+        "pilegame", "pilegame.cli", "pilegame.exact", "pilegame.oracle", "pilegame.rng",
+    ]
+
+
+def test_every_public_name_is_its_submodules_object():
+    code = """
+import importlib, pilegame
+for name in pilegame.__all__:
+    if name == "__version__":
+        continue
+    module = importlib.import_module("pilegame." + pilegame._EXPORTS[name])
+    assert getattr(pilegame, name) is getattr(module, name), name
+assert set(pilegame.__all__) <= set(dir(pilegame))
+print(len(pilegame.__all__))
+"""
+    assert _fresh(code) == "40"  # 39 names and ``__version__``, as before the exports were lazy
+
+
+def test_star_import_binds_every_public_name():
+    code = """
+import pilegame
+namespace = {}
+exec("from pilegame import *", namespace)
+missing = [name for name in pilegame.__all__ if name not in namespace]
+assert not missing, missing
+print(namespace["solve_recursive"](3).d(3), namespace["__version__"])
+"""
+    assert _fresh(code) == "1/3 0.1.0"
+
+
+def test_unknown_name_raises_attribute_error():
+    code = """
+import pilegame
+try:
+    pilegame.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    assert _fresh(code) == "module 'pilegame' has no attribute 'no_such_name'"

@@ -12,6 +12,7 @@ from pilegame.rng import (
     LANE_STEPS,
     MASK64,
     MAX_LANES,
+    MAX_PILE,
     Xoshiro256StarStar,
     expand_seed,
     jump,
@@ -102,6 +103,13 @@ def test_draw_of_one_is_forced_but_advances_state():
 def test_draw_rejects_bad_bound():
     with pytest.raises(ValueError):
         Xoshiro256StarStar(0).draw(0)
+
+
+def test_draw_bound_is_one_64_bit_output():
+    g = Xoshiro256StarStar(7)
+    assert 1 <= g.draw(MAX_PILE) <= 2**64
+    with pytest.raises(ValueError, match="at most 2\\*\\*64"):
+        g.draw(MAX_PILE + 1)
 
 
 def test_draw_roughly_uniform():

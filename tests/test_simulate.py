@@ -152,7 +152,7 @@ def test_pool_that_cannot_start_falls_back_inline(monkeypatch, capsys):
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    code = "import sys, pilegame.cli; print('concurrent.futures.process' in sys.modules)"
+    code = "import sys, pilegame.cli, pilegame.simulate; print('concurrent.futures.process' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
 
