@@ -224,7 +224,11 @@ def verify(n_max: int, oracle_max: int) -> None:
               help="Largest pile size to report.")
 @_format_option
 def convergence(n_max: int, fmt: str) -> None:
-    """Distance between D_n and 1/e with the factorial decay bound."""
+    """Distance between D_n and 1/e with the factorial decay bound.
+
+    gap_to_e_inv is a double-precision distance, so it may exceed bound by
+    up to 2^-48, the float slack of verify's limit-gap check.
+    """
     table = solve_recursive(n_max)
     rows = []
     for n in range(n_max + 1):

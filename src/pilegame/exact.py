@@ -50,7 +50,6 @@ FLOAT_SLACK = Fraction(1, 2**48)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -58,33 +57,26 @@ class WinTable:
     """Random-player win probabilities R_0..R_{n_max} from one solver path.
 
     Attributes:
-        n_max: Largest pile size in the table.
         r: R_n indexed directly by n, each a reduced Fraction in [0, 1].
         method: Which solver produced the table (one of ``METHODS``).
     """
 
-    n_max: int
     r: tuple[Fraction, ...]
     method: str
 
     def __post_init__(self) -> None:
-        if self.n_max < 0:
-            raise ValueError(f"n_max must be >= 0, got {self.n_max}")
+        if not self.r:
+            raise ValueError("r is empty; a table holds at least R_0")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if len(self.r) != self.n_max + 1:
-            raise ValueError(
-                f"expected {self.n_max + 1} entries, got {len(self.r)}"
-            )
         for n, value in enumerate(self.r):
             if not 0 <= value <= 1:
                 raise ValueError(f"R_{n} = {value} is outside [0, 1]")
-        if self.r[0] != 0:
-            raise ValueError(f"R_0 must be 0, got {self.r[0]}")
-        if self.n_max >= 1 and self.r[1] != 1:
-            raise ValueError(f"R_1 must be 1, got {self.r[1]}")
-        if self.n_max >= 2 and self.r[2] != _HALF:
-            raise ValueError(f"R_2 must be 1/2, got {self.r[2]}")
+
+    @property
+    def n_max(self) -> int:
+        """Largest pile size in the table."""
+        return len(self.r) - 1
 
     def d(self, n: int) -> Fraction:
         """Deterministic player's win probability D_n = 1 - R_n."""
@@ -97,21 +89,25 @@ class WinTable:
 class DerangementTable:
     """Derangement counts d_n and factorials n! for n = 0..n_max."""
 
-    n_max: int
     d: tuple[int, ...]
     factorial: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n_max < 0:
-            raise ValueError(f"n_max must be >= 0, got {self.n_max}")
-        if len(self.d) != self.n_max + 1 or len(self.factorial) != self.n_max + 1:
-            raise ValueError("table lengths must be n_max + 1")
+        if not self.d:
+            raise ValueError("d is empty; a table holds at least d_0")
+        if len(self.factorial) != len(self.d):
+            raise ValueError("d and factorial must have the same length")
         if self.d[0] != 1:
             raise ValueError("d_0 must be 1 (the empty permutation)")
         if self.n_max >= 1 and self.d[1] != 0:
             raise ValueError("d_1 must be 0")
         if any(x < 0 for x in self.d) or any(x < 1 for x in self.factorial):
             raise ValueError("counts must be nonnegative, factorials positive")
+
+    @property
+    def n_max(self) -> int:
+        """Largest n in the table."""
+        return len(self.d) - 1
 
 
 @dataclass(frozen=True)
@@ -148,7 +144,7 @@ def solve_recursive(n_max: int) -> WinTable:
         r.append(_ONE)
     for n in range(2, n_max + 1):
         r.append((r[n - 2] + (n - 1) * r[n - 1]) / n)
-    return WinTable(n_max=n_max, r=tuple(r), method="recursive")
+    return WinTable(r=tuple(r), method="recursive")
 
 
 def solve_telescoping(n_max: int) -> WinTable:
@@ -165,7 +161,7 @@ def solve_telescoping(n_max: int) -> WinTable:
         fact *= n
         a_n = Fraction((-1) ** (n + 1), fact)
         r.append(r[n - 1] + a_n)
-    return WinTable(n_max=n_max, r=tuple(r), method="telescoping")
+    return WinTable(r=tuple(r), method="telescoping")
 
 
 def closed_form(n: int) -> Fraction:
@@ -192,7 +188,7 @@ def closed_form_table(n_max: int) -> WinTable:
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     r = tuple(closed_form(n) for n in range(n_max + 1))
-    return WinTable(n_max=n_max, r=r, method="closed_form")
+    return WinTable(r=r, method="closed_form")
 
 
 def derangements(n_max: int) -> DerangementTable:
@@ -211,7 +207,7 @@ def derangements(n_max: int) -> DerangementTable:
     for n in range(2, n_max + 1):
         d.append((n - 1) * (d[n - 1] + d[n - 2]))
         fact.append(fact[n - 1] * n)
-    return DerangementTable(n_max=n_max, d=tuple(d), factorial=tuple(fact))
+    return DerangementTable(d=tuple(d), factorial=tuple(fact))
 
 
 def derangement_prob(n: int, table: DerangementTable) -> Fraction:
@@ -256,7 +252,7 @@ def gf_coefficients(n_max: int) -> tuple[Fraction, ...]:
 
 def gf_table(n_max: int) -> WinTable:
     """WinTable wrapping ``gf_coefficients``."""
-    return WinTable(n_max=n_max, r=gf_coefficients(n_max), method="gf")
+    return WinTable(r=gf_coefficients(n_max), method="gf")
 
 
 _SOLVERS = {

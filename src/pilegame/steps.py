@@ -24,33 +24,28 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class StepsTable:
-    """Exact E(Z_n) for n = 1..n_max and E(Q_n) for n = 2..n_max.
+    """Exact E(Z_n) for n = 1..n_max; E(Q_n) is derived from it on read.
 
-    ``ez[i]`` holds E(Z_{i+1}) and ``eq[i]`` holds E(Q_{i+2}); use
-    ``ez_at``/``eq_at`` to index by pile size directly.
+    ``ez[i]`` holds E(Z_{i+1}); use ``ez_at``/``eq_at`` to index by pile
+    size directly.
     """
 
-    n_max: int
     ez: tuple[Fraction, ...]
-    eq: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        if len(self.ez) != self.n_max or len(self.eq) != max(self.n_max - 1, 0):
-            raise ValueError("table lengths do not match n_max")
+        if not self.ez:
+            raise ValueError("ez is empty; a table holds at least E(Z_1)")
         if self.ez[0] != 1:
             raise ValueError(f"E(Z_1) must be 1, got {self.ez[0]}")
         if self.n_max >= 2 and self.ez[1] != 1:
             raise ValueError(f"E(Z_2) must be 1, got {self.ez[1]}")
         if any(value < 1 for value in self.ez):
             raise ValueError("every E(Z_n) is at least 1: one move always happens")
-        for i, delta in enumerate(self.eq):
-            if delta != self.ez[i + 1] - self.ez[i]:
-                raise ValueError(
-                    f"E(Q_{i + 2}) = {delta} is not the difference of "
-                    f"consecutive E(Z) entries"
-                )
+
+    @property
+    def n_max(self) -> int:
+        """Largest pile size in the table."""
+        return len(self.ez)
 
     def ez_at(self, n: int) -> Fraction:
         """E(Z_n); n must be in 1..n_max."""
@@ -62,15 +57,15 @@ class StepsTable:
         """E(Q_n) = E(Z_n) - E(Z_{n-1}); n must be in 2..n_max."""
         if not 2 <= n <= self.n_max:
             raise IndexError(f"n={n} outside table range 2..{self.n_max}")
-        return self.eq[n - 2]
+        return self.ez[n - 1] - self.ez[n - 2]
 
 
 def expected_steps(n_max: int) -> StepsTable:
     """Exact E(Z_n) for 1..n_max via the summed recursion.
 
     Maintains the running prefix sum E(Z_1) + ... + E(Z_{n-2}) so the whole
-    table is built in linear time; ``eq`` is filled with the consecutive
-    differences.
+    table is built in linear time; ``StepsTable.eq_at`` takes the
+    differences E(Q_n) from it on read.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -81,8 +76,7 @@ def expected_steps(n_max: int) -> StepsTable:
     for n in range(3, n_max + 1):
         ez.append(1 + prefix / n)
         prefix += ez[n - 2]  # extend the sum to ez[1..n-1] for the next n
-    eq = tuple(ez[i + 1] - ez[i] for i in range(len(ez) - 1))
-    return StepsTable(n_max=n_max, ez=tuple(ez), eq=eq)
+    return StepsTable(ez=tuple(ez))
 
 
 def q_sequence(n_max: int) -> tuple[Fraction, ...]:

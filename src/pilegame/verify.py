@@ -4,7 +4,8 @@ Each check carries a stable identifier and, on failure, names the first
 offending index, so the CLI ``verify`` command (and the acceptance suite
 behind it) can pinpoint a disagreement:
 
-* ``base-cases``             -- R_0 = 0, R_1 = 1, R_2 = 1/2
+* ``base-cases``             -- R_0 = 0, R_1 = 1, R_2 = 1/2 (the rule's one
+                               owner: ``WinTable`` does not enforce it)
 * ``<a>-vs-<b>``             -- the four solver paths, pairwise, exact equality
 * ``derangement-identity``   -- 1 - R_n = d_n / n! for every n
 * ``telescoping-differences``-- R_n - R_{n-1} = (-1)^(n+1)/n!
@@ -34,6 +35,7 @@ from .exact import (
     WinTable,
     DerangementTable,
     closed_form_table,
+    derangement_prob,
     derangements,
     gap_to_limit,
     gf_table,
@@ -99,7 +101,7 @@ def check_derangement_identity(table: WinTable, dtable: DerangementTable) -> Che
             f"table sizes differ: {table.n_max} vs {dtable.n_max}",
         )
     for n in range(table.n_max + 1):
-        expected = Fraction(dtable.d[n], dtable.factorial[n])
+        expected = derangement_prob(n, dtable)
         if table.d(n) != expected:
             return _fail(
                 "derangement-identity",
@@ -206,9 +208,9 @@ def check_alternating_bound(table: WinTable) -> CheckResult:
     return _ok("alternating-bound")
 
 
-def check_limit_gap(table: WinTable, max_n: int = LIMIT_GAP_MAX_N) -> CheckResult:
+def check_limit_gap(table: WinTable) -> CheckResult:
     """Float gap to 1/e stays within the exact bound plus the float slack."""
-    for n in range(min(max_n, table.n_max) + 1):
+    for n in range(min(LIMIT_GAP_MAX_N, table.n_max) + 1):
         report = gap_to_limit(n, table)
         if Fraction(report.gap) > report.bound + FLOAT_SLACK:
             return _fail(

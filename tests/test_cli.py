@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import pilegame.cli as cli
 import pilegame.verify
 from pilegame.cli import main
-from pilegame.exact import METHODS, derangements, solve_recursive, solve_telescoping
+from pilegame.exact import FLOAT_SLACK, METHODS, derangements, solve_recursive, solve_telescoping
 
 from reference import csv_report
 
@@ -155,6 +155,19 @@ def test_convergence_gap_below_bound_in_every_row():
         assert row["gap_to_e_inv"] <= row["bound"], f"n={row['n']}"
 
 
+def test_convergence_gap_within_bound_plus_float_slack_to_forty():
+    """The gap is a double-precision distance: it may pass ``bound`` by up
+    to 2^-48, and at n = 17 it does."""
+    result = _run("convergence", "--n-max", "40", "--format", "json")
+    assert result.exit_code == 0
+    rows = json.loads(result.output)["rows"]
+    assert len(rows) == 41
+    for row in rows:
+        gap, bound = Fraction(row["gap_to_e_inv"]), Fraction(row["bound"])
+        assert gap <= bound + FLOAT_SLACK, f"n={row['n']}"
+    assert [row["n"] for row in rows if row["gap_to_e_inv"] > row["bound"]] == [17]
+
+
 def test_verify_passes_and_exits_zero():
     result = _run("verify", "--n-max", "50", "--oracle-max", "6")
     assert result.exit_code == 0
@@ -210,9 +223,6 @@ def test_solve_large_n_max_prints_exact_columns(fmt):
     assert int(last["d_n"]) == derangements(1600).d[1600]
 
 
-#: First 16 hex digits of the SHA-256 of stdout. They pin header order, JSON
-#: ``meta`` key order and every byte of each report: stdout is byte-identical
-#: for identical arguments, so a changed digest is a changed output contract.
 def test_simulate_rejects_piles_above_two_to_the_64():
     result = _run("simulate", "--n", str(2**64 + 1), "--trials", "10")
     assert result.exit_code == 2
@@ -220,6 +230,9 @@ def test_simulate_rejects_piles_above_two_to_the_64():
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+#: First 16 hex digits of the SHA-256 of stdout. They pin header order, JSON
+#: ``meta`` key order and every byte of each report: stdout is byte-identical
+#: for identical arguments, so a changed digest is a changed output contract.
 GOLDEN_STDOUT = {
     "solve --n-max 12": "79c7a98be0bf3185",
     "solve --n-max 12 --method telescoping --format json": "265042bab92c0f40",

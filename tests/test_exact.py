@@ -7,6 +7,7 @@ import pytest
 
 from pilegame.exact import (
     E_INVERSE,
+    DerangementTable,
     WinTable,
     closed_form,
     closed_form_table,
@@ -220,15 +221,22 @@ def test_gap_to_limit_out_of_range():
 def test_win_table_rejects_bad_contents():
     good = (Fraction(0), Fraction(1), Fraction(1, 2))
     with pytest.raises(ValueError):
-        WinTable(n_max=2, r=good[:2], method="recursive")  # wrong length
+        WinTable(r=good, method="horoscope")
     with pytest.raises(ValueError):
-        WinTable(n_max=2, r=good, method="horoscope")
-    with pytest.raises(ValueError):
-        WinTable(n_max=2, r=(Fraction(0), Fraction(2), Fraction(1, 2)),
+        WinTable(r=(Fraction(0), Fraction(2), Fraction(1, 2)),
                  method="recursive")  # outside [0, 1]
+
+
+def test_tables_reject_empty_tuples():
     with pytest.raises(ValueError):
-        WinTable(n_max=2, r=(Fraction(1), Fraction(1), Fraction(1, 2)),
-                 method="recursive")  # broken base case
+        WinTable(r=(), method="recursive")
+    with pytest.raises(ValueError):
+        DerangementTable(d=(), factorial=())
+
+
+def test_derangement_table_rejects_unequal_lengths():
+    with pytest.raises(ValueError):
+        DerangementTable(d=(1, 0, 1), factorial=(1, 1))
 
 
 def test_win_table_d_accessor_bounds():

@@ -11,13 +11,14 @@ from reference import BRUTE_EQ, BRUTE_EZ
 def test_base_cases():
     table = expected_steps(2)
     assert table.ez == (Fraction(1), Fraction(1))
-    assert table.eq == (Fraction(0),)
+    assert table.eq_at(2) == Fraction(0)
 
 
 def test_single_entry_table():
     table = expected_steps(1)
     assert table.ez == (Fraction(1),)
-    assert table.eq == ()
+    with pytest.raises(IndexError):
+        table.eq_at(2)
 
 
 def test_matches_brute_force():
@@ -84,12 +85,9 @@ def test_accessor_bounds():
 
 def test_table_validation():
     with pytest.raises(ValueError):
-        StepsTable(n_max=2, ez=(Fraction(2), Fraction(1)), eq=(Fraction(-1),))
+        StepsTable(ez=(Fraction(2), Fraction(1)))
+
+
+def test_table_rejects_empty_ez():
     with pytest.raises(ValueError):
-        StepsTable(n_max=2, ez=(Fraction(1),), eq=())
-    with pytest.raises(ValueError):
-        StepsTable(
-            n_max=2,
-            ez=(Fraction(1), Fraction(1)),
-            eq=(Fraction(1, 2),),  # not the consecutive difference
-        )
+        StepsTable(ez=())

@@ -70,8 +70,8 @@ def _tampered_tables(draw):
 
     An entry is set to the value of another entry (a tie), moved by
     +-1/10^k, or set exactly 1/(min(n, m)+1)! away from some entry m (a tie
-    with the bound). R_0, R_1 and R_2 are pinned by WinTable, so tampers
-    start at n = 3 and an n_max = 2 table stays honest.
+    with the bound). Tampers start at n = 3, so R_0, R_1 and R_2 keep the
+    values ``base-cases`` requires and an n_max = 2 table stays honest.
     """
     honest = solve_recursive(draw(st.integers(2, 60)))
     n_max = honest.n_max
@@ -138,6 +138,13 @@ def test_tampered_table_fails_base_cases():
     assert "n=3" in result.detail
 
 
+def test_broken_base_case_fails_base_cases():
+    tampered = _corrupt_table(solve_recursive(5), 1, Fraction(0))
+    assert str(check_base_cases(tampered)) == (
+        "FAIL base-cases: R_1 = 0, expected 1 (n=1)"
+    )
+
+
 def test_tampered_derangements_fail_identity():
     table = solve_recursive(12)
     dtable = derangements(12)
@@ -159,11 +166,8 @@ def test_tampered_table_fails_oracle_comparison():
 def test_tampered_steps_fail_oracle_comparison():
     steps = expected_steps(8)
     ez = list(steps.ez)
-    eq = list(steps.eq)
-    ez[5] += Fraction(1, 7)  # n = 6; both neighbouring differences shift
-    eq[4] += Fraction(1, 7)
-    eq[5] -= Fraction(1, 7)
-    tampered = dataclasses.replace(steps, ez=tuple(ez), eq=tuple(eq))
+    ez[5] += Fraction(1, 7)  # n = 6
+    tampered = dataclasses.replace(steps, ez=tuple(ez))
     result = check_oracle_steps(tampered, 8)
     assert not result.passed
     assert "n=6" in result.detail
