@@ -18,9 +18,7 @@ import click
 from . import __version__
 from .exact import METHODS, closed_form, derangements, gap_to_limit, solve, solve_recursive
 from .oracle import MEMOIZED_MAX_N
-from .rng import MAX_PILE
-
-_U64_MAX = (1 << 64) - 1
+from .rng import MASK64, MAX_PILE
 
 
 # The simulator, the steps recursion and the checks are imported only when a
@@ -141,7 +139,7 @@ def solve_cmd(n_max: int, method: str, fmt: str) -> None:
               help="Initial pile size (1 to 2**64).")
 @click.option("--trials", type=click.IntRange(min=1), default=100_000,
               help="Number of independent games.")
-@click.option("--seed", type=click.IntRange(min=0, max=_U64_MAX), default=0,
+@click.option("--seed", type=click.IntRange(min=0, max=MASK64), default=0,
               help="Unsigned 64-bit master seed.")
 @click.option("--workers", type=click.IntRange(min=1), default=1,
               help="Number of contiguous trial blocks / generator streams.")

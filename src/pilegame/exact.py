@@ -97,10 +97,6 @@ class DerangementTable:
             raise ValueError("d is empty; a table holds at least d_0")
         if len(self.factorial) != len(self.d):
             raise ValueError("d and factorial must have the same length")
-        if self.d[0] != 1:
-            raise ValueError("d_0 must be 1 (the empty permutation)")
-        if self.n_max >= 1 and self.d[1] != 0:
-            raise ValueError("d_1 must be 0")
         if any(x < 0 for x in self.d) or any(x < 1 for x in self.factorial):
             raise ValueError("counts must be nonnegative, factorials positive")
 

@@ -1,15 +1,15 @@
 """Ground truth by exhaustive game-tree expectation.
 
-Expands every branch of the game literally: at a random-player node with m
-counters each removal k in {1..m} carries weight 1/m, and a
-deterministic-player node has its single forced move. No win-probability or
-step recurrence appears anywhere in this module, which is what makes it an
-independent check on the analytic solvers.
+Expands every branch of the game literally: with m counters and the random
+player to move, each removal k in {1..m} carries weight 1/m, and is followed
+in place by the deterministic player's single forced move (remove one). No
+win-probability or step recurrence appears anywhere in this module, which is
+what makes it an independent check on the analytic solvers.
 
-Memoization caches values per (pile, player-to-move) state; it changes cost
-only, not semantics, and can be switched off to keep the evaluation a pure
-tree walk. The walk grows roughly like a Fibonacci sequence in n, so both
-modes carry a small-n guard.
+Memoization caches values per pile; it changes cost only, not semantics,
+and can be switched off to keep the evaluation a pure tree walk. The walk
+grows roughly like a Fibonacci sequence in n, so both modes carry a small-n
+guard.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-#: Largest n accepted with the (pile, player) cache enabled.
+#: Largest n accepted with the per-pile cache enabled.
 MEMOIZED_MAX_N = 14
 
 #: Largest n accepted for the pure, cache-free tree walk.
@@ -41,38 +41,33 @@ class OracleResult:
 
 
 def _walk(
-    pile: int,
-    to_move: str,
-    cache: dict[tuple[int, str], tuple[Fraction, Fraction]] | None,
+    pile: int, cache: dict[int, tuple[Fraction, Fraction]] | None
 ) -> tuple[Fraction, Fraction]:
-    """(P(deterministic player wins), E(remaining R moves)) for a live state."""
+    """(P(deterministic player wins), E(remaining R moves)) with R to move."""
     if cache is not None:
-        hit = cache.get((pile, to_move))
+        hit = cache.get(pile)
         if hit is not None:
             return hit
-    if to_move == "R":
-        weight = Fraction(1, pile)
-        weight_total = _ZERO
-        d_prob = _ZERO
-        r_moves = _ZERO
-        for k in range(1, pile + 1):
-            weight_total += weight
-            left = pile - k
-            if left == 0:
-                branch = (_ZERO, _ONE)  # random player emptied the pile
-            else:
-                sub_d, sub_steps = _walk(left, "D", cache)
-                branch = (sub_d, 1 + sub_steps)
-            d_prob += weight * branch[0]
-            r_moves += weight * branch[1]
-        if weight_total != 1:
-            raise AssertionError(f"branch weights sum to {weight_total}, not 1")
-        result = (d_prob, r_moves)
-    else:
-        left = pile - 1
-        result = (_ONE, _ZERO) if left == 0 else _walk(left, "R", cache)
+    weight = Fraction(1, pile)
+    weight_total = _ZERO
+    d_prob = _ZERO
+    r_moves = _ZERO
+    for k in range(1, pile + 1):
+        weight_total += weight
+        left = pile - k
+        if left == 0:  # random player emptied the pile
+            sub_d, sub_steps = 0, 0
+        elif left == 1:  # deterministic player takes the last counter
+            sub_d, sub_steps = 1, 0
+        else:  # deterministic player's forced move: remove exactly one
+            sub_d, sub_steps = _walk(left - 1, cache)
+        d_prob += weight * sub_d
+        r_moves += weight * (1 + sub_steps)
+    if weight_total != 1:
+        raise AssertionError(f"branch weights sum to {weight_total}, not 1")
+    result = (d_prob, r_moves)
     if cache is not None:
-        cache[(pile, to_move)] = result
+        cache[pile] = result
     return result
 
 
@@ -95,7 +90,7 @@ def evaluate(n: int, memoize: bool = True) -> OracleResult:
     _check_depth(n, memoize)
     if n == 0:
         return OracleResult(n=0, d_win_prob=_ONE, expected_r_steps=None)
-    d_prob, r_moves = _walk(n, "R", {} if memoize else None)
+    d_prob, r_moves = _walk(n, {} if memoize else None)
     return OracleResult(n=n, d_win_prob=d_prob, expected_r_steps=r_moves)
 
 

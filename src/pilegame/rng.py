@@ -21,7 +21,7 @@ from array import array
 from functools import cache, reduce
 from itertools import chain
 from operator import getitem, xor
-from typing import Iterator
+from typing import Iterable, Iterator
 
 MASK64 = (1 << 64) - 1
 
@@ -192,17 +192,21 @@ def jump(x: int) -> int:
     return reduce(xor, map(getitem, _jump_tables(), nibbles))
 
 
-def _lane_runs(state: tuple[int, int, int, int]) -> Iterator[array]:
+def _lane_runs(state: tuple[int, int, int, int]) -> Iterator[Iterable[int]]:
     """Consecutive runs of ``LANE_STEPS`` outputs from ``state`` on.
 
-    Each batch steps its lanes together: lane i starts ``jump`` of lane
-    i - 1, and lane 0 of the next batch starts where the last lane ended.
-    Batches double from one lane to ``MAX_LANES``, so a short block does
-    not pay for a full batch or for the jump tables.
+    The first run is made one output at a time by a scalar generator, so a
+    short block makes only what it reads. Each later batch steps its lanes
+    together: lane 0 starts where the previous run ended and lane i at
+    ``jump`` of lane i - 1. Batches double from two lanes to ``MAX_LANES``.
     """
-    s0, s1, s2, s3 = state
+    rng = Xoshiro256StarStar(0)
+    rng._s0, rng._s1, rng._s2, rng._s3 = state
+    yield (rng.next_u64() for _ in range(LANE_STEPS))
+    # ``stream`` resumes here only once that run is used up: rng is past it.
+    s0, s1, s2, s3 = rng.state
     x = s0 | s1 << 64 | s2 << 128 | s3 << 192
-    lanes = 1
+    lanes = 2
     while True:
         starts = [x]
         for _ in range(lanes - 1):
@@ -221,7 +225,7 @@ def stream(state: tuple[int, int, int, int]) -> Iterator[int]:
     """Endless raw outputs of the xoshiro256** stream that starts in ``state``.
 
     The same values, in the same order, as successive ``next_u64`` calls of
-    a ``Xoshiro256StarStar`` in that state, made in lanes (see
-    ``_lane_runs``) instead of one step at a time.
+    a ``Xoshiro256StarStar`` in that state. The first ``LANE_STEPS`` are
+    those calls; the rest are made in lanes (see ``_lane_runs``).
     """
     return chain.from_iterable(_lane_runs(state))

@@ -36,15 +36,15 @@ Z_BY_LEVEL = {
     0.999: 3.2905267314919255,
 }
 
-#: Below this many trials the process-pool overhead dominates; blocks are
+#: Below this much work the process-pool overhead dominates; blocks are
 #: then run inline (the partition, and hence the result, is unchanged).
-#: Measured with the lane kernel, ``run_trials(10, T, workers=2)`` in a fresh
-#: interpreter (pool import included), median of 10 runs on a 2-vCPU host,
-#: Python 3.11: the pool took 120/133/146/183 ms and the same two blocks
-#: inline 102/114/165/197 ms at T = 60k/80k/100k/120k. The break-even lies
-#: between 80k and 100k; the noise does not place it closer, so the limit
-#: stays at 100k.
-_INLINE_TRIALS_LIMIT = 100_000
+#: Work is trials times ``max(n.bit_length(), 4)``, which follows the draws
+#: per game (2.23, 4.39, 27.6 at n = 10, 100, 2**40); piles below 16 start the
+#: pool above 100k trials, where n=10 breaks even. ``_pool_parts`` against the
+#: same two blocks inline in fresh interpreters, median of 5, 2-vCPU host,
+#: Python 3.11: n=100 (limit 57k) at 50k/60k trials, pool 141/149 ms against
+#: 127/177 ms; n=2**40 (limit 9.8k) at 5k/10k/20k, 106/159/259 against 108/218/432.
+_INLINE_WORK_LIMIT = 400_000
 
 
 class Move(NamedTuple):
@@ -136,15 +136,16 @@ def _run_block(n: int, count: int, state: tuple[int, int, int, int]) -> tuple[in
     """Play ``count`` games from pile ``n`` on one generator stream.
 
     Hot path. The outputs come from ``rng.stream(state)``, which makes the
-    stream in lanes: lane i of a batch starts ``rng.LANE_STEPS`` steps after
-    lane i - 1 (a jump derived from the generator's own linear step), all
-    lanes step together as slots of a few big ints, and the lanes are read
-    back one after another. That is the stream a scalar generator would
-    give, in its order, so this loop consumes it exactly like ``play_game``
-    over a ``Xoshiro256StarStar`` in ``state`` (test_simulate pins that
-    equivalence). A draw for pile p keeps the top bits of one output that
-    can hold p - 1 and rejects values >= p. Returns (deterministic wins,
-    sum of R-move counts, sum of squared counts).
+    stream, after its first ``rng.LANE_STEPS`` outputs, in lanes: lane i of
+    a batch starts ``rng.LANE_STEPS`` steps after lane i - 1 (a jump derived
+    from the generator's own linear step), all lanes step together as slots
+    of a few big ints, and the lanes are read back one after another. That
+    is the stream a scalar generator would give, in its order, so this loop
+    consumes it exactly like ``play_game`` over a ``Xoshiro256StarStar`` in
+    ``state`` (test_simulate pins that equivalence). A draw for pile p
+    keeps the top bits of one output that can hold p - 1 and rejects values
+    >= p. Returns (deterministic wins, sum of R-move counts, sum of squared
+    counts).
     """
     d_wins = steps_sum = steps_sq_sum = 0
     if count < 1:
@@ -215,7 +216,7 @@ def run_trial_sums(n: int, trials: int, seed: int = 0, workers: int = 1) -> Tria
         if size > 0
     ]
     parts = None
-    if len(jobs) > 1 and trials > _INLINE_TRIALS_LIMIT:
+    if len(jobs) > 1 and trials * max(n.bit_length(), 4) > _INLINE_WORK_LIMIT:
         try:
             parts = _pool_parts(n, jobs)
         except (OSError, NotImplementedError) as exc:
@@ -297,6 +298,8 @@ def wilson_interval(wins: int, trials: int, ci_level: float = 0.99) -> tuple[flo
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2.0 * trials)) / denom
     half = z * math.sqrt(p_hat * (1.0 - p_hat) / trials + z * z / (4.0 * trials * trials)) / denom
-    low = 0.0 if wins == 0 else max(0.0, center - half)
-    high = 1.0 if wins == trials else min(1.0, center + half)
+    # Clamping to p_hat undoes rounding that can put an end past it a few
+    # ulps from 1 (wins = trials - 1 near 2**53); the exact interval holds it.
+    low = max(0.0, min(p_hat, center - half))
+    high = min(1.0, max(p_hat, center + half))
     return low, high

@@ -15,6 +15,7 @@ from pilegame.rng import MASK64, Xoshiro256StarStar, expand_seed
 from pilegame.simulate import (
     MAX_PILE,
     Move,
+    Z_BY_LEVEL,
     SimResult,
     _run_block,
     block_sizes,
@@ -151,6 +152,20 @@ def test_pool_that_cannot_start_falls_back_inline(monkeypatch, capsys):
     assert "process pool did not start" in lines[0] and "no processes here" in lines[0]
 
 
+def test_pool_threshold_weighs_trials_by_pile_size(monkeypatch):
+    pooled = []
+
+    def pool_parts(n, jobs):
+        pooled.append(n)
+        return [(0, 0, 0)] * len(jobs)
+
+    monkeypatch.setattr("pilegame.simulate._pool_parts", pool_parts)
+    run_trial_sums(10, 20_000, workers=2)
+    assert pooled == []
+    run_trial_sums(2**40, 20_000, workers=2)
+    assert pooled == [2**40]
+
+
 def test_import_leaves_the_process_pool_unloaded():
     code = "import sys, pilegame.cli, pilegame.simulate; print('concurrent.futures.process' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
@@ -247,6 +262,23 @@ def test_wilson_interval_brackets_the_estimate():
         for level in (0.90, 0.95, 0.99, 0.999):
             low, high = wilson_interval(wins, 100, level)
             assert 0.0 <= low <= wins / 100 <= high <= 1.0
+
+
+@settings(max_examples=500, deadline=None)
+@given(level=st.sampled_from(sorted(Z_BY_LEVEL)), trials=st.integers(1, 2**53), data=st.data())
+def test_wilson_interval_brackets_any_estimate(level, trials, data):
+    wins = data.draw(st.integers(0, trials), label="wins")
+    low, high = wilson_interval(wins, trials, level)
+    assert 0.0 <= low <= wins / trials <= high <= 1.0
+
+
+def test_wilson_interval_brackets_an_estimate_a_few_ulps_from_one():
+    # Near 2**53 trials, p_hat is a few ulps below 1 and the upper end as
+    # computed in floats can round below it.
+    trials = 8_025_177_780_746_585
+    for level in Z_BY_LEVEL:
+        low, high = wilson_interval(trials - 1, trials, level)
+        assert low <= (trials - 1) / trials <= high
 
 
 def test_wilson_interval_rejects_bad_arguments():

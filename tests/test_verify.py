@@ -145,15 +145,16 @@ def test_broken_base_case_fails_base_cases():
     )
 
 
-def test_tampered_derangements_fail_identity():
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_tampered_derangements_fail_identity(n):
     table = solve_recursive(12)
     dtable = derangements(12)
     d = list(dtable.d)
-    d[5] += 120  # keep d_5/5! inside [0, 1] but wrong
+    d[n] = dtable.factorial[n] - d[n]  # keep d_n/n! inside [0, 1] but wrong
     tampered = dataclasses.replace(dtable, d=tuple(d))
     result = check_derangement_identity(table, tampered)
     assert not result.passed
-    assert "n=5" in result.detail
+    assert f"(n={n})" in result.detail
 
 
 def test_tampered_table_fails_oracle_comparison():
