@@ -12,39 +12,43 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from importlib import import_module
 
 import click
 
-from . import __version__
+from . import _EXPORTS, __version__
 from .exact import METHODS, closed_form, derangements, gap_to_limit, solve, solve_recursive
 from .oracle import MEMOIZED_MAX_N
 from .rng import MASK64, MAX_PILE
 
 
-# The simulator, the steps recursion and the checks are imported only when a
-# command calls them, so the other commands never load them. The commands
-# look these forwarders up in the module's globals, as they do the exact
-# functions imported above, so replacing ``pilegame.cli.<name>`` observes or
-# replaces every call a command makes.
-def expected_steps(*args, **kwargs):
-    """``steps.expected_steps``, imported on first call."""
-    from .steps import expected_steps as impl
+def _lazy(name: str):
+    """``pilegame.<name>``, imported from its module on each call, whose
+    ``ValueError`` is raised as ``click.UsageError`` (exit 2).
 
-    return impl(*args, **kwargs)
+    A command that calls none of them never loads the simulator, the steps
+    recursion or the checks. The commands look these names up in the
+    module's globals, as they do the exact functions imported above, so
+    replacing ``pilegame.cli.<name>`` observes or replaces every call. The
+    library owns every rule on its arguments and the CLI restates none; a
+    command calls these before it writes to stdout. Trade-off: a table
+    constructor's ``ValueError`` inside ``run_checks``, which only a solver
+    fault raises (``verify``'s tests guard that), would also exit 2.
+    """
+
+    def forward(*args, **kwargs):
+        impl = getattr(import_module(f"{__package__}.{_EXPORTS[name]}"), name)
+        try:
+            return impl(*args, **kwargs)
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from exc
+
+    return forward
 
 
-def run_trials(*args, **kwargs):
-    """``simulate.run_trials``, imported on first call."""
-    from .simulate import run_trials as impl
-
-    return impl(*args, **kwargs)
-
-
-def run_checks(*args, **kwargs):
-    """``verify.run_checks``, imported on first call."""
-    from .verify import run_checks as impl
-
-    return impl(*args, **kwargs)
+expected_steps = _lazy("expected_steps")
+run_trials = _lazy("run_trials")
+run_checks = _lazy("run_checks")
 
 
 def _fmt_float(value: float) -> str:
@@ -102,8 +106,8 @@ def main() -> None:
     """Exact solvers, a seedable simulator, and cross-verification for the
     random-vs-deterministic pile game."""
     # Exact columns such as d_n pass CPython's 4300-digit int-to-str limit
-    # from n_max = 1559 on, and a report must print them whole. Python 3.10
-    # has neither the limit nor this setter.
+    # from n_max = 1559 on, and a report must print them whole. Python
+    # 3.10.0-3.10.6 have neither the limit nor this setter.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
 
@@ -148,12 +152,6 @@ def solve_cmd(n_max: int, method: str, fmt: str) -> None:
 @_format_option
 def simulate(n: int, trials: int, seed: int, workers: int, ci_level: float, fmt: str) -> None:
     """Monte Carlo estimate of the deterministic player's win probability."""
-    from .simulate import Z_BY_LEVEL
-
-    if ci_level not in Z_BY_LEVEL:
-        raise click.UsageError(
-            f"--ci-level must be one of {sorted(Z_BY_LEVEL)}, got {ci_level}"
-        )
     result = run_trials(n, trials, seed=seed, workers=workers, ci_level=ci_level)
     d_exact = 1 - closed_form(n)
     within_ci = Fraction(result.ci_low) <= d_exact <= Fraction(result.ci_high)
@@ -204,10 +202,6 @@ def steps(n_max: int, fmt: str) -> None:
               help=f"Upper pile size for game-tree comparisons (<= {MEMOIZED_MAX_N}).")
 def verify(n_max: int, oracle_max: int) -> None:
     """Run every named cross-check; exit 0 only if all of them pass."""
-    if oracle_max > n_max:
-        raise click.UsageError(
-            f"--oracle-max ({oracle_max}) must not exceed --n-max ({n_max})"
-        )
     results = run_checks(n_max=n_max, oracle_max=oracle_max)
     for result in results:
         click.echo(str(result))

@@ -210,10 +210,10 @@ def run_trial_sums(n: int, trials: int, seed: int = 0, workers: int = 1) -> Tria
         raise ValueError(f"workers must be >= 1, got {workers}")
     if not 0 <= seed <= MASK64:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    # Workers past ``trials`` would get empty blocks; the others are unchanged.
     jobs = [
         (size, expand_seed(stream_seed(seed, i)))
-        for i, size in enumerate(block_sizes(trials, workers))
-        if size > 0
+        for i, size in enumerate(block_sizes(trials, min(workers, trials)))
     ]
     parts = None
     if len(jobs) > 1 and trials * max(n.bit_length(), 4) > _INLINE_WORK_LIMIT:

@@ -31,6 +31,18 @@ def _csv_rows(output):
     return list(csv.DictReader(io.StringIO(output)))
 
 
+def _assert_usage_error(*args, says=""):
+    """Exit 2 with nothing on stdout and an ``Error:`` line (holding
+    ``says``) on stderr, not a traceback."""
+    result = _run(*args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and says in errors[0], result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_solve_closed_form_small_table():
     result = _run("solve", "--n-max", "2", "--method", "closed-form")
     assert result.exit_code == 0
@@ -61,13 +73,11 @@ def test_solve_row_ten_reduced_fraction_and_count():
 
 
 def test_solve_rejects_unknown_method():
-    result = _run("solve", "--n-max", "5", "--method", "tarot")
-    assert result.exit_code == 2
+    _assert_usage_error("solve", "--n-max", "5", "--method", "tarot", says="'--method'")
 
 
 def test_solve_rejects_negative_n_max():
-    result = _run("solve", "--n-max", "-1")
-    assert result.exit_code == 2
+    _assert_usage_error("solve", "--n-max", "-1", says="'--n-max'")
 
 
 def test_solve_csv_floats_round_trip():
@@ -78,23 +88,47 @@ def test_solve_csv_floats_round_trip():
         assert float(row["d_prob_float"]) == float(table.d(n))
 
 
-def test_csv_and_json_agree():
-    as_csv = _run("solve", "--n-max", "4", "--method", "gf")
-    as_json = _run("solve", "--n-max", "4", "--method", "gf", "--format", "json")
+def _same_cell(text, value):
+    """Whether CSV cell ``text`` holds JSON value ``value``."""
+    if value is None:
+        return text == ""
+    if isinstance(value, bool):
+        return text == ("true" if value else "false")
+    if isinstance(value, int):
+        return text == str(value)
+    if isinstance(value, float):
+        return float(text) == value
+    return text == value
+
+
+@pytest.mark.parametrize("args", [
+    *(f"solve --n-max 4 --method {method}" for method in ("recursive", "telescoping",
+                                                           "closed-form", "gf")),
+    "steps --n-max 4",
+    "convergence --n-max 4",
+    "simulate --n 5 --trials 200 --seed 3",
+])
+def test_csv_and_json_agree(args):
+    as_csv = _run(*args.split())
+    as_json = _run(*args.split(), "--format", "json")
+    assert as_csv.exit_code == as_json.exit_code == 0
+    csv_rows = _csv_rows(as_csv.output)
     json_rows = json.loads(as_json.output)["rows"]
-    for csv_row, json_row in zip(_csv_rows(as_csv.output), json_rows):
-        assert int(csv_row["d_prob_num"]) == json_row["d_prob_num"]
-        assert float(csv_row["d_prob_float"]) == json_row["d_prob_float"]
+    assert len(csv_rows) == len(json_rows)
+    for csv_row, json_row in zip(csv_rows, json_rows):
+        assert list(csv_row) == list(json_row)
+        for key, value in json_row.items():
+            assert _same_cell(csv_row[key], value), (key, csv_row[key], value)
 
 
 def test_simulate_rejects_zero_pile():
-    result = _run("simulate", "--n", "0", "--trials", "10")
-    assert result.exit_code == 2
+    _assert_usage_error("simulate", "--n", "0", "--trials", "10", says="'--n'")
 
 
 def test_simulate_rejects_unsupported_ci_level():
-    result = _run("simulate", "--n", "3", "--trials", "10", "--ci-level", "0.98")
-    assert result.exit_code == 2
+    # The message is the library's: run_trials owns the rule.
+    _assert_usage_error("simulate", "--n", "3", "--trials", "10", "--ci-level", "0.98",
+                        says="unsupported ci_level 0.98; choose from [0.9, 0.95, 0.99, 0.999]")
 
 
 def test_simulate_pile_of_one():
@@ -136,7 +170,7 @@ def test_steps_final_row_value():
 
 
 def test_steps_rejects_zero():
-    assert _run("steps", "--n-max", "0").exit_code == 2
+    _assert_usage_error("steps", "--n-max", "0", says="'--n-max'")
 
 
 def test_steps_json_uses_null_for_missing_difference():
@@ -177,11 +211,13 @@ def test_verify_passes_and_exits_zero():
 
 
 def test_verify_rejects_oracle_bound_overrun():
-    assert _run("verify", "--oracle-max", "15").exit_code == 2
+    _assert_usage_error("verify", "--oracle-max", "15", says="'--oracle-max'")
 
 
 def test_verify_rejects_oracle_above_n_max():
-    assert _run("verify", "--n-max", "5", "--oracle-max", "10").exit_code == 2
+    # The message is the library's: run_checks owns the rule.
+    _assert_usage_error("verify", "--n-max", "5", "--oracle-max", "10",
+                        says="oracle_max (10) must not exceed n_max (5)")
 
 
 def test_verify_detects_tampered_table(monkeypatch):
@@ -224,16 +260,48 @@ def test_solve_large_n_max_prints_exact_columns(fmt):
 
 
 def test_simulate_rejects_piles_above_two_to_the_64():
-    result = _run("simulate", "--n", str(2**64 + 1), "--trials", "10")
-    assert result.exit_code == 2
-    assert "Invalid value for '--n'" in result.output
-    assert result.exception is None or isinstance(result.exception, SystemExit)
+    _assert_usage_error("simulate", "--n", str(2**64 + 1), "--trials", "10",
+                        says="Invalid value for '--n'")
+
+
+#: Usage errors besides the ones above: the bound of every option past its
+#: end, a bad choice, a missing required option, an unknown command, and a
+#: level no table holds. Each row: arguments, then what the error line says.
+USAGE_ERRORS = [
+    ("solve --n-max 3 --format xml", "'--format'"),
+    ("solve", "'--n-max'"),
+    ("steps", "'--n-max'"),
+    ("convergence", "'--n-max'"),
+    ("convergence --n-max -1", "'--n-max'"),
+    ("frobnicate", "No such command 'frobnicate'"),
+    ("simulate --n 3 --trials 0", "'--trials'"),
+    ("simulate --n 3 --seed -1", "'--seed'"),
+    (f"simulate --n 3 --seed {2**64}", "'--seed'"),
+    ("simulate --n 3 --workers 0", "'--workers'"),
+    ("simulate --n 3 --trials 10 --ci-level nan", "unsupported ci_level nan"),
+    ("verify --n-max 1", "'--n-max'"),
+    ("verify --oracle-max -1", "'--oracle-max'"),
+]
+
+
+@pytest.mark.parametrize("args, says", USAGE_ERRORS)
+def test_usage_error(args, says):
+    _assert_usage_error(*args.split(), says=says)
 
 
 #: First 16 hex digits of the SHA-256 of stdout. They pin header order, JSON
-#: ``meta`` key order and every byte of each report: stdout is byte-identical
-#: for identical arguments, so a changed digest is a changed output contract.
+#: ``meta`` key order and every byte of each report, the help text and the
+#: version line: stdout is byte-identical for identical arguments, so a
+#: changed digest is a changed output contract. ``CliRunner`` lays help out
+#: 80 columns wide whatever the terminal.
 GOLDEN_STDOUT = {
+    "--help": "49712bcc17763ade",
+    "--version": "51c8d9f94eea4b43",
+    "solve --help": "3e0226b549b6dbb9",
+    "simulate --help": "7668592c0e19a2ad",
+    "steps --help": "9f3779d8b6f819f0",
+    "verify --help": "78b0e23ac3749108",
+    "convergence --help": "11a30128852972a9",
     "solve --n-max 12": "79c7a98be0bf3185",
     "solve --n-max 12 --method telescoping --format json": "265042bab92c0f40",
     "solve --n-max 12 --method closed-form": "15f2b2ccf3510738",

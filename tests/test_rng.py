@@ -148,8 +148,9 @@ def test_jump_equals_lane_steps_scalar_steps(state):
 @settings(max_examples=10, deadline=None)
 @given(states)
 def test_stream_equals_successive_next_u64(state):
-    # Batches have 1, 2, 4, ..., MAX_LANES lanes, then MAX_LANES each: this
-    # runs through every growing batch and two full ones after them.
+    # The first run is scalar, then batches have 2, 4, ..., MAX_LANES lanes,
+    # then MAX_LANES each: 1 + 2 + ... + MAX_LANES = 2 * MAX_LANES - 1 runs
+    # go through every growing batch, then two full ones follow.
     count = LANE_STEPS * (2 * MAX_LANES - 1 + 2 * MAX_LANES)
     rng = generator_in(state)
     assert list(islice(stream(state), count)) == [rng.next_u64() for _ in range(count)]

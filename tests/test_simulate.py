@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pilegame.exact import solve_recursive
@@ -184,15 +184,22 @@ def test_stream_seeds_differ_per_worker():
     assert len(seeds) == 16
 
 
-def test_run_trial_sums_merges_blocks():
-    """Aggregation over workers equals running each block by hand."""
-    n, trials, seed, workers = 6, 1000, 9, 3
+@settings(max_examples=60, deadline=None)
+@given(n=edge_piles, trials=st.integers(1, 60), seed=st.integers(0, MASK64),
+       workers=st.integers(1, 80))
+@example(n=6, trials=1000, seed=9, workers=3)
+def test_run_trial_sums_merges_blocks(n, trials, seed, workers):
+    """Aggregation over workers equals running each block by hand, empty
+    blocks included, and workers past ``trials`` change nothing."""
     sums = run_trial_sums(n, trials, seed=seed, workers=workers)
     manual = [0, 0, 0]
     for i, size in enumerate(block_sizes(trials, workers)):
         part = _run_block(n, size, expand_seed(stream_seed(seed, i)))
         manual = [a + b for a, b in zip(manual, part)]
     assert (sums.d_wins, sums.steps_sum, sums.steps_sq_sum) == tuple(manual)
+    assert run_trial_sums(n, trials, seed=seed, workers=10**15) == run_trial_sums(
+        n, trials, seed=seed, workers=trials
+    )
 
 
 def test_run_trials_is_reproducible():
