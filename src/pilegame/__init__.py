@@ -25,8 +25,7 @@ _MODULES = {
         "solve_telescoping",
     ),
     "oracle": (
-        "MEMOIZED_MAX_N", "UNMEMOIZED_MAX_N", "OracleResult", "evaluate",
-        "oracle_expected_steps", "oracle_win_prob",
+        "MEMOIZED_MAX_N", "UNMEMOIZED_MAX_N", "oracle_expected_steps", "oracle_win_prob",
     ),
     "rng": ("Xoshiro256StarStar", "expand_seed", "splitmix64"),
     "simulate": (

@@ -7,14 +7,14 @@ win-probability or step recurrence appears anywhere in this module, which is
 what makes it an independent check on the analytic solvers.
 
 Memoization caches values per pile; it changes cost only, not semantics,
-and can be switched off to keep the evaluation a pure tree walk. The walk
-grows roughly like a Fibonacci sequence in n, so both modes carry a small-n
-guard.
+and can be switched off to keep the evaluation a pure tree walk. The cached
+walk visits each pile once, O(n^2) ``Fraction`` work. The pure walk's call
+count grows like a Fibonacci sequence in n, so its small-n guard keeps it
+short. The cached mode's limit is the bound ``verify --oracle-max`` accepts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 #: Largest n accepted with the per-pile cache enabled.
@@ -25,19 +25,6 @@ UNMEMOIZED_MAX_N = 10
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    """Exact quantities for one starting pile size.
-
-    ``expected_r_steps`` is None only for n = 0, where no game is played
-    and the win probability is fixed by convention.
-    """
-
-    n: int
-    d_win_prob: Fraction
-    expected_r_steps: Fraction | None
 
 
 def _walk(
@@ -71,38 +58,30 @@ def _walk(
     return result
 
 
-def _check_depth(n: int, memoize: bool) -> None:
+def _root(n: int, memoize: bool) -> tuple[Fraction, Fraction]:
+    """(D, E(Z)) from ``n`` >= 1 counters, within the mode's depth limit."""
     limit = MEMOIZED_MAX_N if memoize else UNMEMOIZED_MAX_N
     if n > limit:
         mode = "memoized" if memoize else "unmemoized"
         raise ValueError(f"n={n} exceeds the {mode} enumeration limit of {limit}")
-
-
-def evaluate(n: int, memoize: bool = True) -> OracleResult:
-    """Full tree evaluation for a game starting from ``n`` counters.
-
-    n = 0 is the boundary convention: the random player cannot win a game
-    it never gets to play, so the deterministic player's probability is 1
-    and there is no step count.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    _check_depth(n, memoize)
-    if n == 0:
-        return OracleResult(n=0, d_win_prob=_ONE, expected_r_steps=None)
-    d_prob, r_moves = _walk(n, {} if memoize else None)
-    return OracleResult(n=n, d_win_prob=d_prob, expected_r_steps=r_moves)
+    return _walk(n, {} if memoize else None)
 
 
 def oracle_win_prob(n: int, memoize: bool = True) -> Fraction:
-    """Exact probability that the deterministic player wins from ``n``."""
-    return evaluate(n, memoize=memoize).d_win_prob
+    """Exact probability that the deterministic player wins from ``n``.
+
+    n = 0 is the boundary convention: the random player cannot win a game
+    it never gets to play, so the deterministic player's probability is 1.
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if n == 0:
+        return _ONE
+    return _root(n, memoize)[0]
 
 
 def oracle_expected_steps(n: int, memoize: bool = True) -> Fraction:
     """Exact expected number of random-player moves from ``n`` (n >= 1)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    result = evaluate(n, memoize=memoize)
-    assert result.expected_r_steps is not None
-    return result.expected_r_steps
+    return _root(n, memoize)[1]

@@ -1,13 +1,13 @@
 """Plays the pile game literally and aggregates win/step statistics.
 
 Determinism contract: every result is a pure function of
-(n, trials, seed, workers, ci_level). Trials are split into ``workers``
-contiguous blocks; block i draws from a private generator stream seeded
-with splitmix64(seed XOR (i + 1)), and per-block tallies are merged by
-integer addition. Neither OS scheduling nor the size of the process pool
-can therefore affect the numbers -- a single-process run of the same
-partition gives bit-identical output, and so does the inline fallback
-used when the process pool cannot start.
+(n, trials, seed, workers, ci_level). Trials are split into
+``min(workers, trials)`` contiguous blocks; block i draws from a private
+generator stream seeded with splitmix64(seed XOR (i + 1)), and per-block
+tallies are merged by integer addition. Neither OS scheduling nor the size
+of the process pool can therefore affect the numbers -- a single-process
+run of the same partition gives bit-identical output, and so does the
+inline fallback used when the process pool cannot start.
 
 Each block plays its games over ``rng.stream``: the generator's raw
 outputs in stream order, made in lanes that each cover a consecutive run
@@ -135,17 +135,13 @@ def play_game(n: int, rng) -> GameTranscript:
 def _run_block(n: int, count: int, state: tuple[int, int, int, int]) -> tuple[int, int, int]:
     """Play ``count`` games from pile ``n`` on one generator stream.
 
-    Hot path. The outputs come from ``rng.stream(state)``, which makes the
-    stream, after its first ``rng.LANE_STEPS`` outputs, in lanes: lane i of
-    a batch starts ``rng.LANE_STEPS`` steps after lane i - 1 (a jump derived
-    from the generator's own linear step), all lanes step together as slots
-    of a few big ints, and the lanes are read back one after another. That
-    is the stream a scalar generator would give, in its order, so this loop
-    consumes it exactly like ``play_game`` over a ``Xoshiro256StarStar`` in
-    ``state`` (test_simulate pins that equivalence). A draw for pile p
-    keeps the top bits of one output that can hold p - 1 and rejects values
-    >= p. Returns (deterministic wins, sum of R-move counts, sum of squared
-    counts).
+    Hot path. The outputs come from ``rng.stream(state)``, which says how
+    they are made. They are the stream a scalar generator would give, in its
+    order, so this loop consumes it exactly like ``play_game`` over a
+    ``Xoshiro256StarStar`` in ``state`` (test_simulate pins that
+    equivalence). A draw for pile p keeps the top bits of one output that
+    can hold p - 1 and rejects values >= p. Returns (deterministic wins, sum
+    of R-move counts, sum of squared counts).
     """
     d_wins = steps_sum = steps_sq_sum = 0
     if count < 1:
@@ -244,7 +240,8 @@ def run_trials(
         n: Initial pile size, 1..2**64 (``MAX_PILE``).
         trials: Number of independent games, at least 1.
         seed: Unsigned 64-bit master seed.
-        workers: Number of contiguous trial blocks / generator streams.
+        workers: Requested number of contiguous trial blocks / generator
+            streams; ``min(workers, trials)`` blocks are made.
         ci_level: Confidence level for the Wilson interval; must be one of
             the keys of ``Z_BY_LEVEL``.
 

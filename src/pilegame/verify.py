@@ -166,10 +166,12 @@ def check_q_recursion(qseq: tuple[Fraction, ...]) -> CheckResult:
 
 def check_steps_vs_q(steps: StepsTable, qseq: tuple[Fraction, ...]) -> CheckResult:
     """Differences of the summed recursion must match the q_sequence values."""
-    for i, value in enumerate(qseq):
-        n = i + 2
-        if n > steps.n_max:
-            break
+    if steps.n_max != len(qseq) + 1:
+        return _fail(
+            "steps-vs-q-recursion",
+            f"table sizes differ: {steps.n_max} vs {len(qseq) + 1}",
+        )
+    for n, value in enumerate(qseq, start=2):
         if steps.eq_at(n) != value:
             return _fail(
                 "steps-vs-q-recursion",

@@ -5,11 +5,7 @@ from fractions import Fraction
 import pytest
 
 from pilegame.exact import solve_recursive
-from pilegame.oracle import (
-    evaluate,
-    oracle_expected_steps,
-    oracle_win_prob,
-)
+from pilegame.oracle import oracle_expected_steps, oracle_win_prob
 from pilegame.steps import expected_steps
 from reference import (
     BRUTE_DERANGEMENTS,
@@ -54,7 +50,9 @@ def test_expected_steps_matches_brute_force():
 
 def test_memoized_and_unmemoized_agree():
     for n in range(11):
-        assert evaluate(n, memoize=True) == evaluate(n, memoize=False), f"n={n}"
+        assert oracle_win_prob(n) == oracle_win_prob(n, memoize=False), f"n={n}"
+    for n in range(1, 11):
+        assert oracle_expected_steps(n) == oracle_expected_steps(n, memoize=False), f"n={n}"
 
 
 def test_matches_analytic_solver_up_to_limit():
@@ -67,24 +65,24 @@ def test_matches_analytic_solver_up_to_limit():
 
 
 def test_depth_guards():
-    with pytest.raises(ValueError):
-        oracle_win_prob(15)
-    with pytest.raises(ValueError):
-        oracle_win_prob(11, memoize=False)
-    with pytest.raises(ValueError):
-        evaluate(15)
-    evaluate(14)  # at the limit: allowed
-    evaluate(10, memoize=False)
+    for quantity in (oracle_win_prob, oracle_expected_steps):
+        with pytest.raises(ValueError, match="n=15 exceeds the memoized enumeration limit of 14"):
+            quantity(15)
+        with pytest.raises(ValueError, match="n=11 exceeds the unmemoized enumeration limit of 10"):
+            quantity(11, memoize=False)
+        quantity(14)  # at the limit: allowed
+        quantity(10, memoize=False)
 
 
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        evaluate(-1)
+        oracle_win_prob(-1)
     with pytest.raises(ValueError):
         oracle_expected_steps(0)
 
 
 def test_zero_pile_result():
-    result = evaluate(0)
-    assert result.d_win_prob == 1
-    assert result.expected_r_steps is None
+    assert oracle_win_prob(0) == 1
+    assert oracle_win_prob(0, memoize=False) == 1
+    with pytest.raises(ValueError):  # no game, so no step count
+        oracle_expected_steps(0, memoize=False)

@@ -37,7 +37,7 @@ for name in pilegame.__all__:
 assert set(pilegame.__all__) <= set(dir(pilegame))
 print(len(pilegame.__all__))
 """
-    assert _fresh(code) == "40"  # 39 names and ``__version__``, as before the exports were lazy
+    assert _fresh(code) == "38"  # 37 names and ``__version__``
 
 
 def test_star_import_binds_every_public_name():

@@ -212,6 +212,14 @@ def test_derangement_identity_fails_on_size_mismatch():
     assert str(small_table) == "FAIL derangement-identity: table sizes differ: 2 vs 40"
 
 
+@pytest.mark.parametrize("steps_n_max, q_n_max", [(400, 5), (5, 400)])
+def test_steps_vs_q_fails_on_size_mismatch(steps_n_max, q_n_max):
+    result = check_steps_vs_q(expected_steps(steps_n_max), q_sequence(q_n_max))
+    assert str(result) == (
+        f"FAIL steps-vs-q-recursion: table sizes differ: {steps_n_max} vs {q_n_max}"
+    )
+
+
 @settings(deadline=None)
 @given(_tampered_tables())
 def test_alternating_bound_matches_pair_scan(table):
