@@ -11,6 +11,7 @@ with 17 significant digits and are convenience only. Exit codes: 0 success,
 from __future__ import annotations
 
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from importlib import import_module
 
@@ -51,10 +52,6 @@ run_trials = _lazy("run_trials")
 run_checks = _lazy("run_checks")
 
 
-def _fmt_float(value: float) -> str:
-    return format(value, ".17g")
-
-
 #: A CSV cell holding any of these must be quoted to read back as one cell.
 _NEEDS_QUOTES = frozenset(',"\r\n')
 
@@ -65,7 +62,7 @@ def _csv_cell(value) -> str:
     if isinstance(value, bool):  # bool before int: bool is an int subclass
         return "true" if value else "false"
     if isinstance(value, float):
-        return _fmt_float(value)
+        return format(value, ".17g")
     if isinstance(value, str) and not _NEEDS_QUOTES.isdisjoint(value):
         raise ValueError(f"CSV cell {value!r} would need quoting")
     return str(value)
@@ -156,16 +153,7 @@ def simulate(n: int, trials: int, seed: int, workers: int, ci_level: float, fmt:
     d_exact = 1 - closed_form(n)
     within_ci = Fraction(result.ci_low) <= d_exact <= Fraction(result.ci_high)
     rows = [{
-        "n": result.n,
-        "trials": result.trials,
-        "d_wins": result.d_wins,
-        "p_hat": result.p_hat,
-        "ci_low": result.ci_low,
-        "ci_high": result.ci_high,
-        "ci_level": result.ci_level,
-        "mean_r_steps": result.mean_r_steps,
-        "seed": result.seed,
-        "workers": result.workers,
+        **asdict(result),
         "d_exact_num": d_exact.numerator,
         "d_exact_den": d_exact.denominator,
         "within_ci": within_ci,
@@ -232,7 +220,3 @@ def convergence(n_max: int, fmt: str) -> None:
             "bound": float(report.bound),
         })
     _emit(rows, fmt, "convergence")
-
-
-if __name__ == "__main__":
-    main()

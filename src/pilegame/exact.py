@@ -23,8 +23,6 @@ routes on purpose, so that a slip in one accumulation is caught by the other.
 series scaled by n_max!, and each value is reduced to a ``Fraction`` once.
 That keeps them near-linear in ``Fraction`` work without sharing anything:
 both stay independent routes, each computed from its own formula.
-``METHODS`` lists the route tags in registry order, which is also the order
-of ``verify``'s pairwise checks.
 
 D_n equals d_n/n! where d_n counts fixed-point-free permutations of n items,
 so the module also builds derangement tables, and D_n converges to 1/e with

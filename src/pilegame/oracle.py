@@ -36,11 +36,9 @@ def _walk(
         if hit is not None:
             return hit
     weight = Fraction(1, pile)
-    weight_total = _ZERO
     d_prob = _ZERO
     r_moves = _ZERO
     for k in range(1, pile + 1):
-        weight_total += weight
         left = pile - k
         if left == 0:  # random player emptied the pile
             sub_d, sub_steps = 0, 0
@@ -50,8 +48,6 @@ def _walk(
             sub_d, sub_steps = _walk(left - 1, cache)
         d_prob += weight * sub_d
         r_moves += weight * (1 + sub_steps)
-    if weight_total != 1:
-        raise AssertionError(f"branch weights sum to {weight_total}, not 1")
     result = (d_prob, r_moves)
     if cache is not None:
         cache[pile] = result

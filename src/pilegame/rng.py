@@ -195,27 +195,26 @@ def jump(x: int) -> int:
 def _lane_runs(state: tuple[int, int, int, int]) -> Iterator[Iterable[int]]:
     """Consecutive runs of ``LANE_STEPS`` outputs from ``state`` on.
 
-    The first run is made one output at a time by a scalar generator, so a
-    short block makes only what it reads. Each later batch steps its lanes
-    together: lane 0 starts where the previous run ended and lane i at
-    ``jump`` of lane i - 1. Batches double from two lanes to ``MAX_LANES``.
+    Run k starts k ``jump``s from ``state``. Run 0 is made one output at a
+    time by a scalar generator, so a short block makes only what it reads.
+    Later runs come in batches whose lanes step together, one run per lane;
+    batches double from two lanes to ``MAX_LANES``.
     """
     rng = Xoshiro256StarStar(0)
     rng._s0, rng._s1, rng._s2, rng._s3 = state
     yield (rng.next_u64() for _ in range(LANE_STEPS))
-    # ``stream`` resumes here only once that run is used up: rng is past it.
-    s0, s1, s2, s3 = rng.state
+    s0, s1, s2, s3 = state
     x = s0 | s1 << 64 | s2 << 128 | s3 << 192
     lanes = 2
     while True:
-        starts = [x]
-        for _ in range(lanes - 1):
-            starts.append(jump(starts[-1]))
+        starts = []
+        for _ in range(lanes):
+            x = jump(x)
+            starts.append(x)
         out = array("Q")
-        end = _step_lanes(_pack(starts), lanes, LANE_STEPS, out)
+        _step_lanes(_pack(starts), lanes, LANE_STEPS, out)
         if sys.byteorder == "big":
             out.byteswap()
-        x = _unpack([word >> 128 * (lanes - 1) for word in end], 1)[0]
         for i in range(0, 2 * lanes, 2):
             yield out[i :: 2 * lanes]
         lanes = min(2 * lanes, MAX_LANES)

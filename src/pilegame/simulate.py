@@ -74,7 +74,7 @@ class TrialSums:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Aggregated statistics for one simulation run."""
+    """Aggregated statistics for one simulation run, in ``simulate``'s column order."""
 
     n: int
     trials: int
@@ -179,14 +179,21 @@ def block_sizes(trials: int, workers: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(workers)]
 
 
+def _run_blocks(n: int, jobs: list) -> tuple[int, int, int]:
+    """Summed ``_run_block`` tallies of ``jobs``, (size, state) pairs in any order."""
+    parts = [_run_block(n, size, state) for size, state in jobs]
+    return tuple(sum(part[i] for part in parts) for i in range(3))
+
+
 def _pool_parts(n: int, jobs: list) -> list[tuple[int, int, int]]:
-    """``_run_block`` of every job in a process pool, in job order."""
+    """``_run_blocks`` in a process pool: one task per process, on one slice of ``jobs``."""
     # Imported here: the pool machinery costs start-up time on every import
     # of the package, and most runs never start a pool.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
-        futures = [pool.submit(_run_block, n, size, state) for size, state in jobs]
+    procs = min(len(jobs), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=procs) as pool:
+        futures = [pool.submit(_run_blocks, n, jobs[i::procs]) for i in range(procs)]
         return [future.result() for future in futures]
 
 
@@ -219,7 +226,7 @@ def run_trial_sums(n: int, trials: int, seed: int = 0, workers: int = 1) -> Tria
             print(f"pilegame: process pool did not start ({exc!r}); "
                   f"running {len(jobs)} blocks inline", file=sys.stderr)
     if parts is None:
-        parts = [_run_block(n, size, state) for size, state in jobs]
+        parts = [_run_blocks(n, jobs)]
     return TrialSums(
         d_wins=sum(p[0] for p in parts),
         steps_sum=sum(p[1] for p in parts),

@@ -31,7 +31,6 @@ from itertools import combinations
 
 from .exact import (
     FLOAT_SLACK,
-    METHODS,
     WinTable,
     DerangementTable,
     closed_form_table,
@@ -151,6 +150,8 @@ def check_oracle_steps(steps: StepsTable, oracle_max: int) -> CheckResult:
 
 def check_q_recursion(qseq: tuple[Fraction, ...]) -> CheckResult:
     """The first-order identity on the sequence produced by q_sequence."""
+    if not qseq:
+        return _fail("q-recursion", "no E(Q_2), expected 0 (n=2)")
     if qseq[0] != 0:
         return _fail("q-recursion", f"E(Q_2) = {qseq[0]}, expected 0 (n=2)")
     for i in range(1, len(qseq)):
@@ -244,7 +245,7 @@ def run_checks(n_max: int = 200, oracle_max: int = 12) -> list[CheckResult]:
         raise ValueError(f"oracle_max ({oracle_max}) must not exceed n_max ({n_max})")
 
     # Each route is called by name, never through ``exact.solve``, so the
-    # four tables stay independent computations. Listed in ``METHODS`` order.
+    # four tables stay independent computations.
     recursive = solve_recursive(n_max)
     tables = (recursive, solve_telescoping(n_max), closed_form_table(n_max), gf_table(n_max))
     dtable = derangements(n_max)
@@ -253,8 +254,8 @@ def run_checks(n_max: int = 200, oracle_max: int = 12) -> list[CheckResult]:
 
     results = [check_base_cases(recursive)]
     results.extend(
-        check_tables_equal(f"{a_tag}-vs-{b_tag}".replace("_", "-"), a, b)
-        for (a_tag, a), (b_tag, b) in combinations(zip(METHODS, tables), 2)
+        check_tables_equal(f"{a.method}-vs-{b.method}".replace("_", "-"), a, b)
+        for a, b in combinations(tables, 2)
     )
     results.append(check_derangement_identity(recursive, dtable))
     results.append(check_telescoping_differences(recursive))

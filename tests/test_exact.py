@@ -239,6 +239,11 @@ def test_derangement_table_rejects_unequal_lengths():
         DerangementTable(d=(1, 0, 1), factorial=(1, 1))
 
 
+def test_derangement_table_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="^counts must be nonnegative, factorials positive$"):
+        DerangementTable(d=(1, -1), factorial=(1, 1))
+
+
 def test_win_table_d_accessor_bounds():
     table = solve_recursive(3)
     assert table.d(3) == Fraction(1, 3)

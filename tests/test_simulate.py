@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,7 +18,9 @@ from pilegame.simulate import (
     Move,
     Z_BY_LEVEL,
     SimResult,
+    _pool_parts,
     _run_block,
+    _run_blocks,
     block_sizes,
     play_game,
     run_trial_sums,
@@ -152,6 +155,15 @@ def test_pool_that_cannot_start_falls_back_inline(monkeypatch, capsys):
     assert "process pool did not start" in lines[0] and "no processes here" in lines[0]
 
 
+def test_pool_with_more_blocks_than_processes_gives_the_inline_tallies():
+    procs = os.cpu_count() or 1
+    jobs = [(size, expand_seed(stream_seed(11, i)))
+            for i, size in enumerate(block_sizes(2_000, procs + 3))]
+    parts = _pool_parts(10, jobs)
+    assert len(parts) == procs  # one task per process
+    assert tuple(map(sum, zip(*parts))) == _run_blocks(10, jobs)
+
+
 def test_pool_threshold_weighs_trials_by_pile_size(monkeypatch):
     pooled = []
 
@@ -250,6 +262,10 @@ def test_sim_result_validation():
     with pytest.raises(ValueError):
         SimResult(n=1, trials=10, d_wins=11, p_hat=1.1, ci_low=0.0,
                   ci_high=1.0, ci_level=0.99, mean_r_steps=1.0, seed=0,
+                  workers=1)
+    with pytest.raises(ValueError, match=r"^interval \(0\.5, 0\.9\) does not bracket p_hat=0\.4$"):
+        SimResult(n=1, trials=10, d_wins=4, p_hat=0.4, ci_low=0.5,
+                  ci_high=0.9, ci_level=0.99, mean_r_steps=1.0, seed=0,
                   workers=1)
 
 

@@ -86,6 +86,10 @@ def test_accessor_bounds():
 def test_table_validation():
     with pytest.raises(ValueError):
         StepsTable(ez=(Fraction(2), Fraction(1)))
+    with pytest.raises(ValueError, match=r"^E\(Z_2\) must be 1, got 2$"):
+        StepsTable(ez=(Fraction(1), Fraction(2)))
+    with pytest.raises(ValueError, match=r"^every E\(Z_n\) is at least 1: one move always happens$"):
+        StepsTable(ez=(Fraction(1), Fraction(1), Fraction(1, 2)))
 
 
 def test_table_rejects_empty_ez():

@@ -212,6 +212,19 @@ def test_derangement_identity_fails_on_size_mismatch():
     assert str(small_table) == "FAIL derangement-identity: table sizes differ: 2 vs 40"
 
 
+def test_tables_equal_fails_on_size_mismatch():
+    result = check_tables_equal("recursive-vs-gf", solve_recursive(5), solve_recursive(6))
+    assert str(result) == "FAIL recursive-vs-gf: table sizes differ: 5 vs 6"
+
+
+@pytest.mark.parametrize("qseq, detail", [
+    ((Fraction(1, 3), Fraction(2, 9)), "E(Q_2) = 1/3, expected 0 (n=2)"),
+    ((), "no E(Q_2), expected 0 (n=2)"),
+])
+def test_q_recursion_fails_without_a_zero_start(qseq, detail):
+    assert str(check_q_recursion(qseq)) == f"FAIL q-recursion: {detail}"
+
+
 @pytest.mark.parametrize("steps_n_max, q_n_max", [(400, 5), (5, 400)])
 def test_steps_vs_q_fails_on_size_mismatch(steps_n_max, q_n_max):
     result = check_steps_vs_q(expected_steps(steps_n_max), q_sequence(q_n_max))
