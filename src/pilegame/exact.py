@@ -13,16 +13,20 @@ R_n is computed four independent ways, all in exact rational arithmetic:
 * ``closed_form``       -- alternating partial sum R_n = 1 - sum_{k<=n} (-1)^k/k!
 * ``gf_coefficients``   -- coefficient extraction from a power-series product
 
-``solve_telescoping`` and ``closed_form`` evaluate the same alternating sum
-R_n = sum_{k=1}^{n} (-1)^(k+1)/k!. The first keeps running prefix sums; the
-second sums each n afresh, as 1 minus the sum from k = 0. They stay separate
-routes on purpose, so that a slip in one accumulation is caught by the other.
+``solve_telescoping``, ``closed_form`` and ``gf_coefficients`` evaluate one
+alternating sum, R_n = sum_{k=1}^{n} (-1)^(k+1)/k!, three ways. The first
+keeps running prefix sums of reduced Fractions; the second sums each n
+afresh over integers, as 1 minus the sum from k = 0; the third expands the
+generating function (1 - e^{-x})/(1 - x), where the product with
+sum_i x^i is a running sum of the n_max!-scaled coefficients of
+1 - e^{-x}. They stay separate routes on purpose, each derived from its own
+formula and sharing no value with another, so that a slip in one
+accumulation is caught by the others.
 
-``closed_form`` and ``gf_coefficients`` do their inner work over integers:
-``closed_form`` sums n!/k! terms and ``gf_coefficients`` convolves the
-series scaled by n_max!, and each value is reduced to a ``Fraction`` once.
-That keeps them near-linear in ``Fraction`` work without sharing anything:
-both stay independent routes, each computed from its own formula.
+``closed_form`` and ``gf_coefficients`` do their inner work over integers
+and reduce each value to a ``Fraction`` once. ``gf_coefficients`` builds the
+whole table with O(n_max) big-integer additions; ``closed_form`` is O(n)
+per n, so its table is O(n_max^2) integer work.
 
 D_n equals d_n/n! where d_n counts fixed-point-free permutations of n items,
 so the module also builds derangement tables, and D_n converges to 1/e with
@@ -38,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 #: Nearest double to 1/e; reference point for the convergence diagnostic.
 E_INVERSE = math.exp(-1.0)
@@ -219,15 +224,16 @@ def gf_coefficients(n_max: int) -> tuple[Fraction, ...]:
 
     Both factor series are truncated at degree n_max and multiplied as
     formal power series; coefficient k of the product equals R_k. The
-    convolution is evaluated literally, term by term, over integers: the
     second factor is scaled by n_max!, so its coefficients are the integers
-    (-1)^(j+1) n_max!/j!, and each product coefficient is reduced once as
-    ``Fraction(c_k, n_max!)``. By design this is an independent computation
-    path, not a wrapper over ``closed_form``.
+    e_j = (-1)^(j+1) n_max!/j!. Multiplying by sum_i x^i is, coefficient by
+    coefficient, the running sum c_k = e_0 + ... + e_k, so one integer sum
+    gives every coefficient and each is reduced once as
+    ``Fraction(c_k, n_max!)``. This is the alternating sum that
+    ``solve_telescoping`` and ``closed_form`` also compute, here in a third
+    arithmetic: the route derives its own series and calls no other route.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    geometric = [1] * (n_max + 1)
     # n_max! times the coefficients of 1 - sum (-x)^j / j!.
     exp_part = [0] * (n_max + 1)
     term = 1  # n_max!/j!, starting at j = n_max
@@ -235,13 +241,7 @@ def gf_coefficients(n_max: int) -> tuple[Fraction, ...]:
         exp_part[j] = term if j % 2 else -term
         term *= j
     scale = term  # n_max!
-    coeffs = []
-    for k in range(n_max + 1):
-        c_k = 0
-        for j in range(k + 1):
-            c_k += geometric[k - j] * exp_part[j]
-        coeffs.append(Fraction(c_k, scale))
-    return tuple(coeffs)
+    return tuple(Fraction(c_k, scale) for c_k in accumulate(exp_part))
 
 
 def gf_table(n_max: int) -> WinTable:

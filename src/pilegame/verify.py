@@ -99,12 +99,15 @@ def check_derangement_identity(table: WinTable, dtable: DerangementTable) -> Che
             "derangement-identity",
             f"table sizes differ: {table.n_max} vs {dtable.n_max}",
         )
-    for n in range(table.n_max + 1):
-        expected = derangement_prob(n, dtable)
-        if table.d(n) != expected:
+    # 1 - R_n = (den - num)/den and d_n/n! are compared cross-multiplied
+    # (both denominators are positive), so d_n/n! is reduced only to report
+    # a failure.
+    for n, (r, d_n, fact) in enumerate(zip(table.r, dtable.d, dtable.factorial)):
+        if (r.denominator - r.numerator) * fact != d_n * r.denominator:
             return _fail(
                 "derangement-identity",
-                f"1 - R_{n} = {table.d(n)} but d_{n}/{n}! = {expected} (n={n})",
+                f"1 - R_{n} = {table.d(n)} but d_{n}/{n}! = "
+                f"{derangement_prob(n, dtable)} (n={n})",
             )
     return _ok("derangement-identity")
 

@@ -6,13 +6,14 @@ enumeration for derangements) and are asserted against the package, never
 computed with it. ``test_reference_self_check`` in test_oracle.py re-derives
 the frozen tables from the routines on every run.
 
-The ``*_by_terms`` and ``*_by_pairs`` routines at the end are the slow,
-direct forms of fast package code: per-term ``Fraction`` sums for the
-closed form and the generating function, and the scan over every pair for
-the alternating bound. ``generator_in`` and ``block_by_play_game`` play the
-same role for the simulator's lane-generated stream, and ``csv_report`` for
-the CLI's streamed CSV writer. Tests require the package to agree with them
-exactly.
+The ``*_by_terms``, ``*_by_convolution`` and ``*_by_pairs`` routines at the
+end are the slow, direct forms of fast package code: per-term ``Fraction``
+sums for the closed form and the generating function, the literal integer
+convolution that ``gf_coefficients`` takes as a running sum, and the scan
+over every pair for the alternating bound. ``generator_in`` and
+``block_by_play_game`` play the same role for the simulator's lane-generated
+stream, and ``csv_report`` for the CLI's streamed CSV writer. Tests require
+the package to agree with them exactly.
 """
 
 import csv
@@ -140,6 +141,30 @@ def gf_coefficients_by_terms(n_max: int) -> tuple[Fraction, ...]:
         for j in range(k + 1):
             c_k += geometric[k - j] * exp_part[j]
         coeffs.append(c_k)
+    return tuple(coeffs)
+
+
+def gf_coefficients_by_convolution(n_max: int) -> tuple[Fraction, ...]:
+    """Coefficients 0..n_max of (sum_i x^i) * (1 - sum_j (-x)^j/j!) over integers.
+
+    The literal O(n_max^2) convolution: the second factor is scaled by
+    n_max!, every product coefficient c_k = sum_{j<=k} 1 * e_j is formed
+    with its multiplications, and each is reduced once as
+    ``Fraction(c_k, n_max!)``.
+    """
+    geometric = [1] * (n_max + 1)
+    exp_part = [0] * (n_max + 1)
+    term = 1  # n_max!/j!, starting at j = n_max
+    for j in range(n_max, 0, -1):
+        exp_part[j] = term if j % 2 else -term
+        term *= j
+    scale = term  # n_max!
+    coeffs = []
+    for k in range(n_max + 1):
+        c_k = 0
+        for j in range(k + 1):
+            c_k += geometric[k - j] * exp_part[j]
+        coeffs.append(Fraction(c_k, scale))
     return tuple(coeffs)
 
 

@@ -26,6 +26,7 @@ from reference import (
     D10_COUNT,
     D10_PROB_REDUCED,
     closed_form_by_terms,
+    gf_coefficients_by_convolution,
     gf_coefficients_by_terms,
 )
 
@@ -117,6 +118,11 @@ def test_integer_routes_match_per_term_fraction_sums():
     for n in range(81):
         assert closed_form(n) == closed_form_by_terms(n), f"closed_form({n})"
         assert gf_coefficients(n) == gf_coefficients_by_terms(n), f"gf_coefficients({n})"
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 81, 200, 400])
+def test_gf_running_sum_equals_the_integer_convolution(n_max):
+    assert gf_coefficients(n_max) == gf_coefficients_by_convolution(n_max)
 
 
 def test_all_routes_equal_recursive_at_n_max_1000():

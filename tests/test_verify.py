@@ -152,9 +152,11 @@ def test_tampered_derangements_fail_identity(n):
     d = list(dtable.d)
     d[n] = dtable.factorial[n] - d[n]  # keep d_n/n! inside [0, 1] but wrong
     tampered = dataclasses.replace(dtable, d=tuple(d))
-    result = check_derangement_identity(table, tampered)
-    assert not result.passed
-    assert f"(n={n})" in result.detail
+    assert str(check_derangement_identity(table, tampered)) == {
+        0: "FAIL derangement-identity: 1 - R_0 = 1 but d_0/0! = 0 (n=0)",
+        1: "FAIL derangement-identity: 1 - R_1 = 0 but d_1/1! = 1 (n=1)",
+        5: "FAIL derangement-identity: 1 - R_5 = 11/30 but d_5/5! = 19/30 (n=5)",
+    }[n]
 
 
 def test_tampered_table_fails_oracle_comparison():
