@@ -119,7 +119,7 @@ def main() -> None:
 def solve_cmd(n_max: int, method: str, fmt: str) -> None:
     """Deterministic player's win probability for every n up to --n-max."""
     table = solve(n_max, method.replace("-", "_"))
-    dtable = derangements(n_max)
+    counts = derangements(n_max)
     rows = []
     for n in range(n_max + 1):
         report = gap_to_limit(n, table)
@@ -129,7 +129,7 @@ def solve_cmd(n_max: int, method: str, fmt: str) -> None:
             "d_prob_den": report.d_exact.denominator,
             "d_prob_float": report.d_n_float,
             "gap_to_e_inv": report.gap,
-            "d_n": dtable.d[n],
+            "d_n": counts[n],
             "method": table.method,
         })
     _emit(rows, fmt, table.method)

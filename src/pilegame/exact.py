@@ -11,9 +11,9 @@ R_n is computed four independent ways, all in exact rational arithmetic:
 * ``solve_recursive``   -- two-term recurrence n*R_n = R_{n-2} + (n-1)*R_{n-1}
 * ``solve_telescoping`` -- first-order recursion on differences R_n - R_{n-1}
 * ``closed_form``       -- alternating partial sum R_n = 1 - sum_{k<=n} (-1)^k/k!
-* ``gf_coefficients``   -- coefficient extraction from a power-series product
+* ``gf_table``          -- coefficient extraction from a power-series product
 
-``solve_telescoping``, ``closed_form`` and ``gf_coefficients`` evaluate one
+``solve_telescoping``, ``closed_form`` and ``gf_table`` evaluate one
 alternating sum, R_n = sum_{k=1}^{n} (-1)^(k+1)/k!, three ways. The first
 keeps running prefix sums of reduced Fractions; the second sums each n
 afresh over integers, as 1 minus the sum from k = 0; the third expands the
@@ -23,13 +23,13 @@ sum_i x^i is a running sum of the n_max!-scaled coefficients of
 formula and sharing no value with another, so that a slip in one
 accumulation is caught by the others.
 
-``closed_form`` and ``gf_coefficients`` do their inner work over integers
-and reduce each value to a ``Fraction`` once. ``gf_coefficients`` builds the
-whole table with O(n_max) big-integer additions; ``closed_form`` is O(n)
+``closed_form`` and ``gf_table`` do their inner work over integers and
+reduce each value to a ``Fraction`` once. ``gf_table`` builds the whole
+table with O(n_max) big-integer additions; ``closed_form`` is O(n)
 per n, so its table is O(n_max^2) integer work.
 
 D_n equals d_n/n! where d_n counts fixed-point-free permutations of n items,
-so the module also builds derangement tables, and D_n converges to 1/e with
+so the module also counts derangements, and D_n converges to 1/e with
 alternating-series rate 1/(n+1)!; ``gap_to_limit`` measures that gap.
 
 Floating point appears only in ``gap_to_limit`` output; every other result
@@ -86,27 +86,6 @@ class WinTable:
         if not 0 <= n <= self.n_max:
             raise IndexError(f"n={n} outside table range 0..{self.n_max}")
         return 1 - self.r[n]
-
-
-@dataclass(frozen=True)
-class DerangementTable:
-    """Derangement counts d_n and factorials n! for n = 0..n_max."""
-
-    d: tuple[int, ...]
-    factorial: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.d:
-            raise ValueError("d is empty; a table holds at least d_0")
-        if len(self.factorial) != len(self.d):
-            raise ValueError("d and factorial must have the same length")
-        if any(x < 0 for x in self.d) or any(x < 1 for x in self.factorial):
-            raise ValueError("counts must be nonnegative, factorials positive")
-
-    @property
-    def n_max(self) -> int:
-        """Largest n in the table."""
-        return len(self.d) - 1
 
 
 @dataclass(frozen=True)
@@ -190,37 +169,33 @@ def closed_form_table(n_max: int) -> WinTable:
     return WinTable(r=r, method="closed_form")
 
 
-def derangements(n_max: int) -> DerangementTable:
-    """Derangement counts via d_n = (n-1) * (d_{n-1} + d_{n-2}).
+def derangements(n_max: int) -> tuple[int, ...]:
+    """Derangement counts (d_0, ..., d_{n_max}), index n holding d_n.
 
-    Big-integer throughout; the companion factorials allow forming the
-    exact probability d_n/n! without recomputation.
+    Big-integer throughout: d_0 = 1, d_1 = 0 and
+    d_n = (n-1) * (d_{n-1} + d_{n-2}).
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    d = [1]
-    fact = [1]
-    if n_max >= 1:
-        d.append(0)
-        fact.append(1)
+    d = [1, 0][: n_max + 1]
     for n in range(2, n_max + 1):
         d.append((n - 1) * (d[n - 1] + d[n - 2]))
-        fact.append(fact[n - 1] * n)
-    return DerangementTable(d=tuple(d), factorial=tuple(fact))
+    return tuple(d)
 
 
-def derangement_prob(n: int, table: DerangementTable) -> Fraction:
+def derangement_prob(n: int, counts: tuple[int, ...]) -> Fraction:
     """Probability d_n/n! that a uniform n-permutation has no fixed point.
 
-    Equals D_n exactly; raises IndexError when n is outside the table.
+    ``counts`` is a tuple from ``derangements``. Equals D_n exactly; raises
+    IndexError when n is outside the table.
     """
-    if not 0 <= n <= table.n_max:
-        raise IndexError(f"n={n} outside table range 0..{table.n_max}")
-    return Fraction(table.d[n], table.factorial[n])
+    if not 0 <= n < len(counts):
+        raise IndexError(f"n={n} outside table range 0..{len(counts) - 1}")
+    return Fraction(counts[n], math.factorial(n))
 
 
-def gf_coefficients(n_max: int) -> tuple[Fraction, ...]:
-    """Coefficients 0..n_max of (sum_i x^i) * (1 - sum_j (-x)^j / j!).
+def gf_table(n_max: int) -> WinTable:
+    """R_n as coefficients 0..n_max of (sum_i x^i) * (1 - sum_j (-x)^j / j!).
 
     Both factor series are truncated at degree n_max and multiplied as
     formal power series; coefficient k of the product equals R_k. The
@@ -241,12 +216,7 @@ def gf_coefficients(n_max: int) -> tuple[Fraction, ...]:
         exp_part[j] = term if j % 2 else -term
         term *= j
     scale = term  # n_max!
-    return tuple(Fraction(c_k, scale) for c_k in accumulate(exp_part))
-
-
-def gf_table(n_max: int) -> WinTable:
-    """WinTable wrapping ``gf_coefficients``."""
-    return WinTable(r=gf_coefficients(n_max), method="gf")
+    return WinTable(r=tuple(Fraction(c_k, scale) for c_k in accumulate(exp_part)), method="gf")
 
 
 _SOLVERS = {

@@ -49,7 +49,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 
 def splitmix64(x: int) -> int:
-    """First output of the splitmix64 stream whose state starts at ``x``."""
+    """First output of the splitmix64 stream whose state starts at ``x`` mod 2**64."""
     x = (x + _GAMMA) & MASK64
     z = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & MASK64
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK64
@@ -78,6 +78,13 @@ class Xoshiro256StarStar:
 
     def __init__(self, seed: int) -> None:
         self._s0, self._s1, self._s2, self._s3 = expand_seed(seed)
+
+    @classmethod
+    def _from_state(cls, state: tuple[int, int, int, int]) -> Xoshiro256StarStar:
+        """A generator set to the 256-bit ``state``, with no seed expanded first."""
+        rng = cls.__new__(cls)
+        rng._s0, rng._s1, rng._s2, rng._s3 = state
+        return rng
 
     @property
     def state(self) -> tuple[int, int, int, int]:
@@ -200,8 +207,7 @@ def _lane_runs(state: tuple[int, int, int, int]) -> Iterator[Iterable[int]]:
     Later runs come in batches whose lanes step together, one run per lane;
     batches double from two lanes to ``MAX_LANES``.
     """
-    rng = Xoshiro256StarStar(0)
-    rng._s0, rng._s1, rng._s2, rng._s3 = state
+    rng = Xoshiro256StarStar._from_state(state)
     yield (rng.next_u64() for _ in range(LANE_STEPS))
     s0, s1, s2, s3 = state
     x = s0 | s1 << 64 | s2 << 128 | s3 << 192

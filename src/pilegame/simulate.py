@@ -170,7 +170,7 @@ def _run_block(n: int, count: int, state: tuple[int, int, int, int]) -> tuple[in
 
 def stream_seed(seed: int, worker: int) -> int:
     """Seed of worker ``worker``'s private stream (0-based index)."""
-    return splitmix64((seed ^ (worker + 1)) & MASK64)
+    return splitmix64(seed ^ (worker + 1))
 
 
 def block_sizes(trials: int, workers: int) -> list[int]:

@@ -7,7 +7,8 @@ behind it) can pinpoint a disagreement:
 * ``base-cases``             -- R_0 = 0, R_1 = 1, R_2 = 1/2 (the rule's one
                                owner: ``WinTable`` does not enforce it)
 * ``<a>-vs-<b>``             -- the four solver paths, pairwise, exact equality
-* ``derangement-identity``   -- 1 - R_n = d_n / n! for every n
+* ``derangement-identity``   -- 1 - R_n = d_n / n! for every n (the one owner
+                               of the rules on the counts d_n)
 * ``telescoping-differences``-- R_n - R_{n-1} = (-1)^(n+1)/n!
 * ``oracle-win-prob``        -- game-tree D_n equals the solvers' D_n
 * ``oracle-win-prob-no-memo``-- same, with the pure cache-free tree walk
@@ -32,9 +33,7 @@ from itertools import combinations
 from .exact import (
     FLOAT_SLACK,
     WinTable,
-    DerangementTable,
     closed_form_table,
-    derangement_prob,
     derangements,
     gap_to_limit,
     gf_table,
@@ -92,22 +91,27 @@ def check_tables_equal(check_id: str, a: WinTable, b: WinTable) -> CheckResult:
     return _ok(check_id)
 
 
-def check_derangement_identity(table: WinTable, dtable: DerangementTable) -> CheckResult:
-    """1 - R_n must equal d_n/n! exactly for every n in the table."""
-    if table.n_max != dtable.n_max:
+def check_derangement_identity(table: WinTable, counts: tuple[int, ...]) -> CheckResult:
+    """1 - R_n must equal d_n/n! exactly for every n in the table.
+
+    ``counts`` is (d_0, ..., d_{n_max}) from ``derangements``; a wrong or
+    negative count fails here, naming n.
+    """
+    if table.n_max != len(counts) - 1:
         return _fail(
             "derangement-identity",
-            f"table sizes differ: {table.n_max} vs {dtable.n_max}",
+            f"table sizes differ: {table.n_max} vs {len(counts) - 1}",
         )
     # 1 - R_n = (den - num)/den and d_n/n! are compared cross-multiplied
     # (both denominators are positive), so d_n/n! is reduced only to report
     # a failure.
-    for n, (r, d_n, fact) in enumerate(zip(table.r, dtable.d, dtable.factorial)):
+    fact = 1  # n!
+    for n, (r, d_n) in enumerate(zip(table.r, counts)):
+        fact *= max(n, 1)
         if (r.denominator - r.numerator) * fact != d_n * r.denominator:
             return _fail(
                 "derangement-identity",
-                f"1 - R_{n} = {table.d(n)} but d_{n}/{n}! = "
-                f"{derangement_prob(n, dtable)} (n={n})",
+                f"1 - R_{n} = {table.d(n)} but d_{n}/{n}! = {Fraction(d_n, fact)} (n={n})",
             )
     return _ok("derangement-identity")
 
@@ -251,7 +255,7 @@ def run_checks(n_max: int = 200, oracle_max: int = 12) -> list[CheckResult]:
     # four tables stay independent computations.
     recursive = solve_recursive(n_max)
     tables = (recursive, solve_telescoping(n_max), closed_form_table(n_max), gf_table(n_max))
-    dtable = derangements(n_max)
+    counts = derangements(n_max)
     steps = expected_steps(n_max)
     qseq = q_sequence(n_max)
 
@@ -260,7 +264,7 @@ def run_checks(n_max: int = 200, oracle_max: int = 12) -> list[CheckResult]:
         check_tables_equal(f"{a.method}-vs-{b.method}".replace("_", "-"), a, b)
         for a, b in combinations(tables, 2)
     )
-    results.append(check_derangement_identity(recursive, dtable))
+    results.append(check_derangement_identity(recursive, counts))
     results.append(check_telescoping_differences(recursive))
     results.append(check_oracle_win_prob(recursive, oracle_max, memoize=True))
     results.append(

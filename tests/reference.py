@@ -9,10 +9,10 @@ the frozen tables from the routines on every run.
 The ``*_by_terms``, ``*_by_convolution`` and ``*_by_pairs`` routines at the
 end are the slow, direct forms of fast package code: per-term ``Fraction``
 sums for the closed form and the generating function, the literal integer
-convolution that ``gf_coefficients`` takes as a running sum, and the scan
-over every pair for the alternating bound. ``generator_in`` and
-``block_by_play_game`` play the same role for the simulator's lane-generated
-stream, and ``csv_report`` for the CLI's streamed CSV writer. Tests require
+convolution that ``gf_table`` takes as a running sum, and the scan over
+every pair for the alternating bound. ``block_by_play_game`` plays the same
+role for the simulator's lane-generated stream, and ``csv_report`` for the
+CLI's streamed CSV writer. Tests require
 the package to agree with them exactly.
 """
 
@@ -193,16 +193,9 @@ def alternating_bound_by_pairs(table) -> str:
     return "PASS alternating-bound"
 
 
-def generator_in(state):
-    """The scalar reference generator, set to the 256-bit ``state`` tuple."""
-    rng = Xoshiro256StarStar(0)
-    rng._s0, rng._s1, rng._s2, rng._s3 = state
-    return rng
-
-
 def block_by_play_game(n, count, state):
     """``simulate._run_block``'s tallies from ``play_game`` on the scalar generator."""
-    rng = generator_in(state)
+    rng = Xoshiro256StarStar._from_state(state)
     wins = steps = squares = 0
     for _ in range(count):
         game = play_game(n, rng)

@@ -73,12 +73,12 @@ def test_criterion_1_cross_method_exactness():
 def test_criterion_2_derangement_identity():
     started = time.perf_counter()
     table = solve_recursive(N_MAX)
-    dtable = derangements(N_MAX)
+    counts = derangements(N_MAX)
     bad = next(
         (
             n
             for n in range(N_MAX + 1)
-            if table.d(n) != Fraction(dtable.d[n], dtable.factorial[n])
+            if table.d(n) != Fraction(counts[n], math.factorial(n))
         ),
         None,
     )

@@ -256,7 +256,7 @@ def test_solve_large_n_max_prints_exact_columns(fmt):
     d_exact = solve_recursive(1600).d(1600)
     assert int(last["d_prob_num"]) == d_exact.numerator
     assert int(last["d_prob_den"]) == d_exact.denominator
-    assert int(last["d_n"]) == derangements(1600).d[1600]
+    assert int(last["d_n"]) == derangements(1600)[1600]
 
 
 def test_simulate_rejects_piles_above_two_to_the_64():

@@ -7,14 +7,12 @@ import pytest
 
 from pilegame.exact import (
     E_INVERSE,
-    DerangementTable,
     WinTable,
     closed_form,
     closed_form_table,
     derangement_prob,
     derangements,
     gap_to_limit,
-    gf_coefficients,
     gf_table,
     solve,
     solve_recursive,
@@ -88,14 +86,14 @@ def test_closed_form_complement_is_derangement_prob():
 
 
 def test_gf_coefficients_values():
-    coeffs = gf_coefficients(5)
+    coeffs = gf_table(5).r
     assert coeffs[0] == 0
     assert coeffs[2] == Fraction(1, 2)
     assert coeffs[5] == Fraction(19, 30)
 
 
 def test_gf_matches_brute_force():
-    coeffs = gf_coefficients(8)
+    coeffs = gf_table(8).r
     for n, expected in BRUTE_R.items():
         assert coeffs[n] == expected, f"coefficient {n}"
 
@@ -117,12 +115,12 @@ def test_integer_routes_match_per_term_fraction_sums():
     """The integer-scaled closed form and gf equal per-term Fraction sums."""
     for n in range(81):
         assert closed_form(n) == closed_form_by_terms(n), f"closed_form({n})"
-        assert gf_coefficients(n) == gf_coefficients_by_terms(n), f"gf_coefficients({n})"
+        assert gf_table(n).r == gf_coefficients_by_terms(n), f"gf_table({n})"
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 2, 81, 200, 400])
 def test_gf_running_sum_equals_the_integer_convolution(n_max):
-    assert gf_coefficients(n_max) == gf_coefficients_by_convolution(n_max)
+    assert gf_table(n_max).r == gf_coefficients_by_convolution(n_max)
 
 
 def test_all_routes_equal_recursive_at_n_max_1000():
@@ -148,30 +146,28 @@ def test_probabilities_stay_in_range():
 
 
 def test_derangements_match_enumeration():
-    table = derangements(7)
-    assert list(table.d) == BRUTE_DERANGEMENTS
-    assert table.factorial[7] == math.factorial(7)
+    assert list(derangements(7)) == BRUTE_DERANGEMENTS
 
 
 def test_derangements_small_tables():
-    assert derangements(0).d == (1,)
-    assert derangements(1).d == (1, 0)
+    assert derangements(0) == (1,)
+    assert derangements(1) == (1, 0)
 
 
 def test_derangement_value_at_ten():
-    assert derangements(10).d[10] == D10_COUNT
+    assert derangements(10)[10] == D10_COUNT
 
 
 def test_derangement_series_identity():
     """d_n/n! equals the alternating partial sum, for every n up to 30."""
-    table = derangements(30)
+    counts = derangements(30)
     partial = Fraction(0)
     fact = 1
     for n in range(31):
         if n > 0:
             fact *= n
         partial += Fraction((-1) ** n, fact)
-        assert Fraction(table.d[n], table.factorial[n]) == partial, f"n={n}"
+        assert Fraction(counts[n], fact) == partial, f"n={n}"
 
 
 def test_derangement_prob_values():
@@ -192,9 +188,9 @@ def test_derangement_prob_out_of_range():
 
 def test_derangement_identity_against_solver():
     solver = solve_recursive(60)
-    table = derangements(60)
+    counts = derangements(60)
     for n in range(61):
-        assert solver.d(n) == Fraction(table.d[n], table.factorial[n]), f"n={n}"
+        assert solver.d(n) == Fraction(counts[n], math.factorial(n)), f"n={n}"
 
 
 def test_gap_to_limit_boundary_cases():
@@ -236,18 +232,6 @@ def test_win_table_rejects_bad_contents():
 def test_tables_reject_empty_tuples():
     with pytest.raises(ValueError):
         WinTable(r=(), method="recursive")
-    with pytest.raises(ValueError):
-        DerangementTable(d=(), factorial=())
-
-
-def test_derangement_table_rejects_unequal_lengths():
-    with pytest.raises(ValueError):
-        DerangementTable(d=(1, 0, 1), factorial=(1, 1))
-
-
-def test_derangement_table_rejects_a_negative_count():
-    with pytest.raises(ValueError, match="^counts must be nonnegative, factorials positive$"):
-        DerangementTable(d=(1, -1), factorial=(1, 1))
 
 
 def test_win_table_d_accessor_bounds():
@@ -261,7 +245,7 @@ def test_win_table_d_accessor_bounds():
 
 def test_negative_arguments_rejected():
     for fn in (solve_recursive, solve_telescoping, closed_form_table,
-               gf_coefficients, derangements):
+               gf_table, derangements):
         with pytest.raises(ValueError):
             fn(-1)
     with pytest.raises(ValueError):

@@ -1,7 +1,11 @@
-"""Tests for what importing the package loads, each in a fresh interpreter."""
+"""Tests of the package's public surface, each in a fresh interpreter."""
 
+import re
 import subprocess
 import sys
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _fresh(code: str) -> str:
@@ -37,7 +41,7 @@ for name in pilegame.__all__:
 assert set(pilegame.__all__) <= set(dir(pilegame))
 print(len(pilegame.__all__))
 """
-    assert _fresh(code) == "38"  # 37 names and ``__version__``
+    assert _fresh(code) == "36"  # 35 names and ``__version__``
 
 
 def test_star_import_binds_every_public_name():
@@ -61,3 +65,9 @@ except AttributeError as exc:
     print(exc)
 """
     assert _fresh(code) == "module 'pilegame' has no attribute 'no_such_name'"
+
+
+def test_readme_library_example_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1, f"README has {len(blocks)} python blocks, expected 1"
+    assert len(_fresh(blocks[0]).split()) == 3  # p_hat, ci_low, ci_high

@@ -20,8 +20,6 @@ from pilegame.rng import (
     stream,
 )
 
-from reference import generator_in
-
 #: Any valid xoshiro256** state: four 64-bit words, not all zero.
 states = st.tuples(*[st.integers(0, MASK64)] * 4).filter(any)
 
@@ -29,6 +27,11 @@ states = st.tuples(*[st.integers(0, MASK64)] * 4).filter(any)
 def test_splitmix64_reference_vector():
     # Published reference output of splitmix64 for seed 0.
     assert splitmix64(0) == 0xE220A8397B1DCDAF
+
+
+@given(st.integers(0, 1 << 72))
+def test_splitmix64_reads_its_input_mod_two_to_the_64(x):
+    assert splitmix64(x) == splitmix64(x & MASK64)
 
 
 def test_expand_seed_reference_vector():
@@ -132,6 +135,16 @@ def test_draw_covers_rejection_path():
     assert seen == {1, 2, 3}
 
 
+@given(seed=st.integers(0, MASK64), skip=st.integers(0, 5))
+def test_from_state_continues_a_seeded_generator(seed, skip):
+    seeded = Xoshiro256StarStar(seed)
+    for _ in range(skip):
+        seeded.next_u64()
+    copy = Xoshiro256StarStar._from_state(seeded.state)
+    assert copy.state == seeded.state
+    assert [copy.next_u64() for _ in range(8)] == [seeded.next_u64() for _ in range(8)]
+
+
 def _as_int(state):
     return sum(word << 64 * i for i, word in enumerate(state))
 
@@ -139,7 +152,7 @@ def _as_int(state):
 @settings(deadline=None)
 @given(states)
 def test_jump_equals_lane_steps_scalar_steps(state):
-    rng = generator_in(state)
+    rng = Xoshiro256StarStar._from_state(state)
     for _ in range(LANE_STEPS):
         rng.next_u64()
     assert jump(_as_int(state)) == _as_int(rng.state)
@@ -152,7 +165,7 @@ def test_stream_equals_successive_next_u64(state):
     # then MAX_LANES each: 1 + 2 + ... + MAX_LANES = 2 * MAX_LANES - 1 runs
     # go through every growing batch, then two full ones follow.
     count = LANE_STEPS * (2 * MAX_LANES - 1 + 2 * MAX_LANES)
-    rng = generator_in(state)
+    rng = Xoshiro256StarStar._from_state(state)
     assert list(islice(stream(state), count)) == [rng.next_u64() for _ in range(count)]
 
 

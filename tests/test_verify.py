@@ -148,15 +148,21 @@ def test_broken_base_case_fails_base_cases():
 @pytest.mark.parametrize("n", [0, 1, 5])
 def test_tampered_derangements_fail_identity(n):
     table = solve_recursive(12)
-    dtable = derangements(12)
-    d = list(dtable.d)
-    d[n] = dtable.factorial[n] - d[n]  # keep d_n/n! inside [0, 1] but wrong
-    tampered = dataclasses.replace(dtable, d=tuple(d))
-    assert str(check_derangement_identity(table, tampered)) == {
+    counts = list(derangements(12))
+    counts[n] = math.factorial(n) - counts[n]  # keep d_n/n! inside [0, 1] but wrong
+    assert str(check_derangement_identity(table, tuple(counts))) == {
         0: "FAIL derangement-identity: 1 - R_0 = 1 but d_0/0! = 0 (n=0)",
         1: "FAIL derangement-identity: 1 - R_1 = 0 but d_1/1! = 1 (n=1)",
         5: "FAIL derangement-identity: 1 - R_5 = 11/30 but d_5/5! = 19/30 (n=5)",
     }[n]
+
+
+@pytest.mark.parametrize("counts, line", [
+    ((1, -1, 1), "FAIL derangement-identity: 1 - R_1 = 0 but d_1/1! = -1 (n=1)"),
+    ((), "FAIL derangement-identity: table sizes differ: 2 vs -1"),
+])
+def test_derangement_identity_owns_the_rules_on_counts(counts, line):
+    assert str(check_derangement_identity(solve_recursive(2), counts)) == line
 
 
 def test_tampered_table_fails_oracle_comparison():
