@@ -15,18 +15,23 @@ R_n is computed four independent ways, all in exact rational arithmetic:
 
 ``solve_telescoping``, ``closed_form`` and ``gf_table`` evaluate one
 alternating sum, R_n = sum_{k=1}^{n} (-1)^(k+1)/k!, three ways. The first
-keeps running prefix sums of reduced Fractions; the second sums each n
-afresh over integers, as 1 minus the sum from k = 0; the third expands the
-generating function (1 - e^{-x})/(1 - x), where the product with
-sum_i x^i is a running sum of the n_max!-scaled coefficients of
+keeps running prefix sums of reduced Fractions; the second evaluates
+1 minus the sum from k = 0 by Horner's rule over integers,
+s_k = k*s_{k-1} + (-1)^k, so s_k = k! * sum_{j<=k} (-1)^j/j!; the third
+expands the generating function (1 - e^{-x})/(1 - x), where the product
+with sum_i x^i is a running sum of the n_max!-scaled coefficients of
 1 - e^{-x}. They stay separate routes on purpose, each derived from its own
 formula and sharing no value with another, so that a slip in one
 accumulation is caught by the others.
 
+The closed form's s_k is the derangement count d_k, reached by the
+one-term recurrence d_k = k*d_{k-1} + (-1)^k. ``derangements`` counts with
+the two-term recurrence d_k = (k-1)(d_{k-1} + d_{k-2}) and shares no value
+with it, so the derangement identity still checks one against the other.
+
 ``closed_form`` and ``gf_table`` do their inner work over integers and
-reduce each value to a ``Fraction`` once. ``gf_table`` builds the whole
-table with O(n_max) big-integer additions; ``closed_form`` is O(n)
-per n, so its table is O(n_max^2) integer work.
+reduce each value to a ``Fraction`` once. Each builds its whole table with
+O(n_max) big-integer steps.
 
 D_n equals d_n/n! where d_n counts fixed-point-free permutations of n items,
 so the module also counts derangements, and D_n converges to 1/e with
@@ -43,6 +48,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import mul
+from typing import Iterator
 
 #: Nearest double to 1/e; reference point for the convergence diagnostic.
 E_INVERSE = math.exp(-1.0)
@@ -142,30 +149,46 @@ def solve_telescoping(n_max: int) -> WinTable:
     return WinTable(r=tuple(r), method="telescoping")
 
 
+def _horner_sums(n: int) -> Iterator[int]:
+    """s_0, ..., s_n with s_0 = 1 and s_k = k*s_{k-1} + (-1)^k.
+
+    By induction s_k = k! * sum_{j<=k} (-1)^j/j!, the closed form's sum
+    scaled by k!, so R_k = (k! - s_k)/k!.
+    """
+    s = 1
+    yield s
+    for k in range(1, n + 1):
+        s = k * s - 1 if k % 2 else k * s + 1
+        yield s
+
+
 def closed_form(n: int) -> Fraction:
     """Exact R_n = 1 - sum_{k=0}^{n} (-1)^k / k!.
 
-    The sum is taken over integers as n! * sum = sum_k (-1)^k n!/k!, with
-    the running term n!/k! built from k = n down to k = 0, and reduced once.
-    Each n is evaluated from scratch, sharing nothing with other n or with
-    ``solve_telescoping``.
+    The sum is taken by Horner's rule over integers: s_n = n! * sum is the
+    last value of ``s_k = k*s_{k-1} + (-1)^k`` from s_0 = 1, and R_n is
+    ``Fraction(n! - s_n, n!)``, reduced once. s_n is also the derangement
+    count d_n by its one-term recurrence; ``derangements`` uses the
+    two-term one and shares no value with this route.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    total = 0
-    term = 1  # n!/k!, starting at k = n
-    for k in range(n, 0, -1):
-        total += -term if k % 2 else term
-        term *= k
-    total += term  # the k = 0 term, n!/0! = n!
-    return 1 - Fraction(total, term)
+    for s_n in _horner_sums(n):
+        pass
+    fact = math.factorial(n)
+    return Fraction(fact - s_n, fact)
 
 
 def closed_form_table(n_max: int) -> WinTable:
-    """WinTable built from independent ``closed_form`` evaluations."""
+    """WinTable of ``closed_form`` values R_0..R_{n_max} from one Horner pass.
+
+    The same s_k as ``closed_form``, zipped with a running k!, so the whole
+    table takes O(n_max) big-integer steps and each R_k is reduced once.
+    """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    r = tuple(closed_form(n) for n in range(n_max + 1))
+    facts = accumulate(range(1, n_max + 1), mul, initial=1)
+    r = tuple(Fraction(fact - s_k, fact) for fact, s_k in zip(facts, _horner_sums(n_max)))
     return WinTable(r=r, method="closed_form")
 
 

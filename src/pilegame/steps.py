@@ -72,10 +72,10 @@ def expected_steps(n_max: int) -> StepsTable:
     ez = [_ONE]
     if n_max >= 2:
         ez.append(_ONE)
-    prefix = _ONE  # sum of ez[1..n-2] while computing ez[n]; starts at n=3
+    prefix = _ONE  # E(Z_1) + ... + E(Z_{n-2}) while computing E(Z_n); starts at n=3
     for n in range(3, n_max + 1):
         ez.append(1 + prefix / n)
-        prefix += ez[n - 2]  # extend the sum to ez[1..n-1] for the next n
+        prefix += ez[n - 2]  # extend the sum to E(Z_1) + ... + E(Z_{n-1}) for the next n
     return StepsTable(ez=tuple(ez))
 
 

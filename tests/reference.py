@@ -10,10 +10,12 @@ The ``*_by_terms``, ``*_by_convolution`` and ``*_by_pairs`` routines at the
 end are the slow, direct forms of fast package code: per-term ``Fraction``
 sums for the closed form and the generating function, the literal integer
 convolution that ``gf_table`` takes as a running sum, and the scan over
-every pair for the alternating bound. ``block_by_play_game`` plays the same
+every pair for the alternating bound. ``closed_form_from_scratch`` sums
+the closed form afresh for each n over integers, from k = n down to 0, and
+pins the package's one Horner pass. ``block_by_play_game`` plays the same
 role for the simulator's lane-generated stream, and ``csv_report`` for the
-CLI's streamed CSV writer. Tests require
-the package to agree with them exactly.
+CLI's streamed CSV writer. Tests require the package to agree with them
+exactly.
 """
 
 import csv
@@ -121,6 +123,21 @@ def closed_form_by_terms(n: int) -> Fraction:
             fact *= k
         total += Fraction((-1) ** k, fact)
     return 1 - total
+
+
+def closed_form_from_scratch(n: int) -> Fraction:
+    """R_n = 1 - sum_{k=0}^{n} (-1)^k/k!, summed over integers from k = n down.
+
+    The sum is n! * sum = sum_k (-1)^k n!/k!, with the running term n!/k!
+    built from k = n down to k = 0, and reduced once: O(n) steps for each n.
+    """
+    total = 0
+    term = 1  # n!/k!, starting at k = n
+    for k in range(n, 0, -1):
+        total += -term if k % 2 else term
+        term *= k
+    total += term  # the k = 0 term, n!/0! = n!
+    return 1 - Fraction(total, term)
 
 
 def gf_coefficients_by_terms(n_max: int) -> tuple[Fraction, ...]:

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pilegame.exact import (
     E_INVERSE,
@@ -24,6 +26,7 @@ from reference import (
     D10_COUNT,
     D10_PROB_REDUCED,
     closed_form_by_terms,
+    closed_form_from_scratch,
     gf_coefficients_by_convolution,
     gf_coefficients_by_terms,
 )
@@ -116,6 +119,25 @@ def test_integer_routes_match_per_term_fraction_sums():
     for n in range(81):
         assert closed_form(n) == closed_form_by_terms(n), f"closed_form({n})"
         assert gf_table(n).r == gf_coefficients_by_terms(n), f"gf_table({n})"
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 81, 400, 1000])
+def test_closed_form_table_equals_sums_from_scratch(n_max):
+    expected = tuple(closed_form_from_scratch(n) for n in range(n_max + 1))
+    assert closed_form_table(n_max).r == expected
+
+
+def test_closed_form_equals_sum_from_scratch():
+    for n in [*range(81), 2000]:
+        assert closed_form(n) == closed_form_from_scratch(n), f"closed_form({n})"
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 600), j=st.integers(0, 50))
+def test_closed_form_is_its_table_entry_and_the_derangement_complement(n, j):
+    r_n = closed_form(n)
+    assert r_n == closed_form_table(n + j).r[n]
+    assert 1 - r_n == Fraction(derangements(n)[n], math.factorial(n))
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 2, 81, 200, 400])
