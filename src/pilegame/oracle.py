@@ -6,6 +6,8 @@ in place by the deterministic player's single forced move (remove one). No
 win-probability or step recurrence appears anywhere in this module, which is
 what makes it an independent check on the analytic solvers.
 
+Each pile adds up its branches' outcomes and divides by m once per sum.
+
 Memoization caches values per pile; it changes cost only, not semantics,
 and can be switched off to keep the evaluation a pure tree walk. The cached
 walk visits each pile once, O(n^2) ``Fraction`` work. The pure walk's call
@@ -35,20 +37,18 @@ def _walk(
         hit = cache.get(pile)
         if hit is not None:
             return hit
-    weight = Fraction(1, pile)
-    d_prob = _ZERO
-    r_moves = _ZERO
+    d_wins = _ZERO  # sum over the branches of P(deterministic player wins)
+    r_moves = _ZERO  # sum over the branches of E(R moves after this one)
     for k in range(1, pile + 1):
         left = pile - k
-        if left == 0:  # random player emptied the pile
-            sub_d, sub_steps = 0, 0
-        elif left == 1:  # deterministic player takes the last counter
-            sub_d, sub_steps = 1, 0
-        else:  # deterministic player's forced move: remove exactly one
+        if left == 1:  # deterministic player takes the last counter
+            d_wins += 1
+        elif left > 1:  # deterministic player's forced move: remove exactly one
             sub_d, sub_steps = _walk(left - 1, cache)
-        d_prob += weight * sub_d
-        r_moves += weight * (1 + sub_steps)
-    result = (d_prob, r_moves)
+            d_wins += sub_d
+            r_moves += sub_steps
+        # left == 0: the random player emptied the pile and won
+    result = (d_wins / pile, 1 + r_moves / pile)
     if cache is not None:
         cache[pile] = result
     return result

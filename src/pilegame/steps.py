@@ -63,19 +63,22 @@ class StepsTable:
 def expected_steps(n_max: int) -> StepsTable:
     """Exact E(Z_n) for 1..n_max via the summed recursion.
 
-    Maintains the running prefix sum E(Z_1) + ... + E(Z_{n-2}) so the whole
-    table is built in linear time; ``StepsTable.eq_at`` takes the
-    differences E(Q_n) from it on read.
+    Runs over n!-scaled integers, w_k = k! * (E(Z_1) + ... + E(Z_k)) and
+    t_n = n! * E(Z_n) = n! + (n-1) * w_{n-2}, with w_n = n * w_{n-1} + t_n
+    from w_1 = 1, w_2 = 4: O(n_max) big-integer steps, each E(Z_n) reduced
+    once. ``StepsTable.eq_at`` takes the differences E(Q_n) on read.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     ez = [_ONE]
     if n_max >= 2:
         ez.append(_ONE)
-    prefix = _ONE  # E(Z_1) + ... + E(Z_{n-2}) while computing E(Z_n); starts at n=3
+    fact, w_before, w_last = 2, 1, 4  # (n-1)!, w_{n-2} and w_{n-1} entering step n
     for n in range(3, n_max + 1):
-        ez.append(1 + prefix / n)
-        prefix += ez[n - 2]  # extend the sum to E(Z_1) + ... + E(Z_{n-1}) for the next n
+        fact *= n
+        t_n = fact + (n - 1) * w_before
+        ez.append(Fraction(t_n, fact))
+        w_before, w_last = w_last, n * w_last + t_n
     return StepsTable(ez=tuple(ez))
 
 

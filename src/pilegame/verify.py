@@ -16,8 +16,9 @@ behind it) can pinpoint a disagreement:
 * ``q-recursion``            -- n*E(Q_n) = 1 - E(Q_{n-1}) with E(Q_2) = 0
 * ``steps-vs-q-recursion``   -- summed-recursion differences match q_sequence
 * ``alternating-bound``      -- |D_n - D_m| <= 1/(n+1)! for all n < m, checked
-                               with a suffix max/min scan that reports the
-                               same first (n, m) as a scan over all pairs
+                               with an integer suffix max/min scan over one
+                               common denominator that reports the same first
+                               (n, m) as a scan over all pairs
 * ``limit-gap``              -- float distance to 1/e within bound + slack
 
 All equality checks run on exact rationals; only ``limit-gap`` touches
@@ -26,9 +27,10 @@ floats, and it compares them exactly after lifting back to rationals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .exact import (
     FLOAT_SLACK,
@@ -192,23 +194,26 @@ def check_steps_vs_q(steps: StepsTable, qseq: tuple[Fraction, ...]) -> CheckResu
 def check_alternating_bound(table: WinTable) -> CheckResult:
     """|D_n - D_m| <= 1/(n+1)! for every pair n < m, in exact arithmetic.
 
-    A backward pass keeps the suffix max and min of D_m over m > n, so row n
-    fails exactly when one of them lies more than 1/(n+1)! from D_n. Only
-    the first failing row is rescanned in ascending m, so the detail names
-    the same first (n, m) as a scan over all pairs.
+    Each R_n is written over the table's least common denominator L as the
+    integer r_n = L*R_n. A backward pass keeps the suffix max and min of r_m
+    over m > n, so row n fails exactly when one of them lies more than
+    L/(n+1)! from r_n. L is n_max! for an honest table; for unrelated
+    denominators it grows to their product, still polynomial in the table's
+    size. Only the first failing row is rescanned in ascending m on
+    Fractions, so the detail names the same first (n, m) as a scan over all
+    pairs.
     """
-    d = [table.d(n) for n in range(table.n_max + 1)]
-    # hi[n] and lo[n] are references to the largest and smallest of d[n:].
-    hi = d[:]
-    lo = d[:]
-    for n in range(table.n_max - 1, -1, -1):
-        hi[n] = max(d[n], hi[n + 1])
-        lo[n] = min(d[n], lo[n + 1])
+    scale = math.lcm(*(value.denominator for value in table.r))  # L
+    r = [value.numerator * (scale // value.denominator) for value in table.r]
+    # hi[n] and lo[n] are the largest and smallest of r[n:].
+    hi = list(accumulate(reversed(r), max))[::-1]
+    lo = list(accumulate(reversed(r), min))[::-1]
     fact = 1
     for n in range(table.n_max):
         fact *= n + 1
-        bound_n = Fraction(1, fact)  # 1/(n+1)!
-        if hi[n + 1] - d[n] > bound_n or d[n] - lo[n + 1] > bound_n:
+        if max(hi[n + 1] - r[n], r[n] - lo[n + 1]) * fact > scale:
+            bound_n = Fraction(1, fact)  # 1/(n+1)!
+            d = [table.d(k) for k in range(table.n_max + 1)]
             m = next(m for m in range(n + 1, table.n_max + 1) if abs(d[n] - d[m]) > bound_n)
             return _fail(
                 "alternating-bound",

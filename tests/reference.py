@@ -12,7 +12,11 @@ sums for the closed form and the generating function, the literal integer
 convolution that ``gf_table`` takes as a running sum, and the scan over
 every pair for the alternating bound. ``closed_form_from_scratch`` sums
 the closed form afresh for each n over integers, from k = n down to 0, and
-pins the package's one Horner pass. ``block_by_play_game`` plays the same
+pins the package's one Horner pass. ``oracle_walk_per_branch`` is the
+game-tree walk that weights each branch by 1/pile as it adds it, and
+``expected_steps_by_fractions`` the summed E(Z_n) recursion over a
+``Fraction`` prefix sum: they pin the oracle's one division per pile and
+the steps table's n!-scaled integers. ``block_by_play_game`` plays the same
 role for the simulator's lane-generated stream, and ``csv_report`` for the
 CLI's streamed CSV writer. Tests require the package to agree with them
 exactly.
@@ -208,6 +212,54 @@ def alternating_bound_by_pairs(table) -> str:
                     f"1/{n + 1}! = {bound_n} (n={n}, m={m})"
                 )
     return "PASS alternating-bound"
+
+
+def oracle_walk_per_branch(n: int, memoize: bool = True) -> tuple[Fraction, Fraction]:
+    """(D, E(Z)) from ``n`` >= 1 counters, adding each branch with weight 1/pile.
+
+    The random player removes k in {1..pile}; the deterministic player's
+    forced move (remove one) follows in place. With ``memoize`` each pile is
+    evaluated once; without it the walk re-expands every subtree.
+    """
+    cache: dict[int, tuple[Fraction, Fraction]] | None = {} if memoize else None
+
+    def walk(pile: int) -> tuple[Fraction, Fraction]:
+        if cache is not None and pile in cache:
+            return cache[pile]
+        weight = Fraction(1, pile)
+        d_prob = Fraction(0)
+        r_moves = Fraction(0)
+        for k in range(1, pile + 1):
+            left = pile - k
+            if left == 0:  # random player emptied the pile
+                sub_d, sub_steps = 0, 0
+            elif left == 1:  # deterministic player takes the last counter
+                sub_d, sub_steps = 1, 0
+            else:
+                sub_d, sub_steps = walk(left - 1)
+            d_prob += weight * sub_d
+            r_moves += weight * (1 + sub_steps)
+        if cache is not None:
+            cache[pile] = (d_prob, r_moves)
+        return d_prob, r_moves
+
+    return walk(n)
+
+
+def expected_steps_by_fractions(n_max: int) -> tuple[Fraction, ...]:
+    """E(Z_1)..E(Z_{n_max}) by E(Z_n) = 1 + (1/n) * sum_{k<=n-2} E(Z_k).
+
+    The prefix sum is a running reduced ``Fraction``, extended by one
+    Fraction addition per n.
+    """
+    ez = [Fraction(1)]
+    if n_max >= 2:
+        ez.append(Fraction(1))
+    prefix = Fraction(1)  # E(Z_1) + ... + E(Z_{n-2}) while computing E(Z_n)
+    for n in range(3, n_max + 1):
+        ez.append(1 + prefix / n)
+        prefix += ez[n - 2]
+    return tuple(ez)
 
 
 def block_by_play_game(n, count, state):

@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 
 from pilegame.exact import solve_recursive
-from pilegame.oracle import oracle_expected_steps, oracle_win_prob
+from pilegame.oracle import (
+    MEMOIZED_MAX_N,
+    UNMEMOIZED_MAX_N,
+    oracle_expected_steps,
+    oracle_win_prob,
+)
 from pilegame.steps import expected_steps
 from reference import (
     BRUTE_DERANGEMENTS,
@@ -13,6 +18,7 @@ from reference import (
     BRUTE_R,
     brute_force_game,
     count_derangements_by_enumeration,
+    oracle_walk_per_branch,
 )
 
 
@@ -53,6 +59,13 @@ def test_memoized_and_unmemoized_agree():
         assert oracle_win_prob(n) == oracle_win_prob(n, memoize=False), f"n={n}"
     for n in range(1, 11):
         assert oracle_expected_steps(n) == oracle_expected_steps(n, memoize=False), f"n={n}"
+
+
+@pytest.mark.parametrize("memoize, limit", [(True, MEMOIZED_MAX_N), (False, UNMEMOIZED_MAX_N)])
+def test_matches_per_branch_walk_up_to_limit(memoize, limit):
+    for n in range(1, limit + 1):
+        pair = (oracle_win_prob(n, memoize=memoize), oracle_expected_steps(n, memoize=memoize))
+        assert pair == oracle_walk_per_branch(n, memoize=memoize), f"n={n}"
 
 
 def test_matches_analytic_solver_up_to_limit():

@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pilegame.steps import StepsTable, expected_steps, q_sequence
-from reference import BRUTE_EQ, BRUTE_EZ
+from reference import BRUTE_EQ, BRUTE_EZ, expected_steps_by_fractions
 
 
 def test_base_cases():
@@ -27,6 +29,17 @@ def test_matches_brute_force():
         assert table.ez_at(n) == expected, f"E(Z_{n})"
     for n, expected in BRUTE_EQ.items():
         assert table.eq_at(n) == expected, f"E(Q_{n})"
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 81, 400, 1000])
+def test_matches_fraction_prefix_sums(n_max):
+    assert expected_steps(n_max).ez == expected_steps_by_fractions(n_max)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 600))
+def test_matches_fraction_prefix_sums_for_any_n_max(n_max):
+    assert expected_steps(n_max).ez == expected_steps_by_fractions(n_max)
 
 
 def test_known_values():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pilegame.exact import derangements, solve_recursive
+from pilegame.exact import WinTable, derangements, solve_recursive
 from pilegame.steps import expected_steps, q_sequence
 from pilegame.verify import (
     CheckResult,
@@ -69,8 +69,10 @@ def _tampered_tables(draw):
     """solve_recursive(n_max) with 1-3 entries changed, each kept in [0, 1].
 
     An entry is set to the value of another entry (a tie), moved by
-    +-1/10^k, or set exactly 1/(min(n, m)+1)! away from some entry m (a tie
-    with the bound). Tampers start at n = 3, so R_0, R_1 and R_2 keep the
+    +-1/10^k, set exactly 1/(min(n, m)+1)! away from some entry m (a tie
+    with the bound), or set to an arbitrary fraction in [0, 1], whose
+    denominator can bring primes above n_max into the table's common
+    denominator. Tampers start at n = 3, so R_0, R_1 and R_2 keep the
     values ``base-cases`` requires and an n_max = 2 table stays honest.
     """
     honest = solve_recursive(draw(st.integers(2, 60)))
@@ -78,16 +80,60 @@ def _tampered_tables(draw):
     r = list(honest.r)
     if n_max >= 3:
         for n in draw(st.lists(st.integers(3, n_max), min_size=1, max_size=3)):
-            kind = draw(st.sampled_from(("tie", "shift", "edge")))
+            kind = draw(st.sampled_from(("tie", "shift", "edge", "arbitrary")))
             if kind == "tie":
                 r[n] = r[draw(st.integers(0, n_max))]
             elif kind == "shift":
                 r[n] = _nudged(r[n], draw(_SIGNED_POWERS_OF_TEN))
+            elif kind == "arbitrary":
+                r[n] = draw(st.fractions(0, 1))
             else:
                 m = draw(st.integers(0, n_max).filter(lambda m: m != n))
                 edge = Fraction(1, math.factorial(min(n, m) + 1))
                 r[n] = _nudged(r[m], draw(st.sampled_from((edge, -edge))))
     return dataclasses.replace(honest, r=tuple(r))
+
+
+def _is_probable_prime(n):
+    """Miller-Rabin over the first twelve prime bases."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n in bases:
+        return True
+    if n < 2 or any(n % a == 0 for a in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime_denominator_table(n_max):
+    """A passing table whose R_n from n = 3 up have distinct prime denominators.
+
+    R_n becomes a/p, with p the first probable prime above 4*(n+3)! and a/p the
+    nearest such fraction to the midpoint of R_n and R_{n+2}. That keeps
+    R_n on its side of the limit and closer to it, so no pair moves apart
+    by more than the honest table allows, and the table's common
+    denominator is the product of the primes.
+    """
+    honest = solve_recursive(n_max + 2)
+    r = list(honest.r[:3])
+    for n in range(3, n_max + 1):
+        p = 4 * math.factorial(n + 3) + 1
+        while not _is_probable_prime(p):
+            p += 2
+        r.append(Fraction(round((honest.r[n] + honest.r[n + 2]) / 2 * p), p))
+    return WinTable(r=tuple(r), method=honest.method)
 
 
 HONEST_200 = solve_recursive(200)
@@ -244,6 +290,19 @@ def test_steps_vs_q_fails_on_size_mismatch(steps_n_max, q_n_max):
 @settings(deadline=None)
 @given(_tampered_tables())
 def test_alternating_bound_matches_pair_scan(table):
+    assert str(check_alternating_bound(table)) == alternating_bound_by_pairs(table)
+
+
+@pytest.mark.parametrize("swap", [None, 40])
+def test_alternating_bound_over_distinct_prime_denominators(swap):
+    """Passes as built; swapping R_40 and R_41 puts R_40 too far from R_42."""
+    table = _prime_denominator_table(60)
+    if swap is not None:
+        r = list(table.r)
+        r[swap], r[swap + 1] = r[swap + 1], r[swap]
+        table = dataclasses.replace(table, r=tuple(r))
+    denominators = {value.denominator for value in table.r[3:]}
+    assert len(denominators) == 58 and all(_is_probable_prime(p) for p in denominators)
     assert str(check_alternating_bound(table)) == alternating_bound_by_pairs(table)
 
 
