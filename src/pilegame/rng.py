@@ -11,7 +11,8 @@ outputs faster: the generator's state update is linear over GF(2), so the
 state ``LANE_STEPS`` steps ahead is a fixed 256x256 bit matrix times the
 state. ``stream`` uses that jump to start many lanes, each on its own
 consecutive run of the stream, and steps all of them at once with one
-big-int operation per term of the step.
+big-int operation per term of the step. ``_top_bytes`` is the same stream
+reduced to each output's top byte, read from the same lane batches.
 """
 
 from __future__ import annotations
@@ -199,16 +200,12 @@ def jump(x: int) -> int:
     return reduce(xor, map(getitem, _jump_tables(), nibbles))
 
 
-def _lane_runs(state: tuple[int, int, int, int]) -> Iterator[Iterable[int]]:
-    """Consecutive runs of ``LANE_STEPS`` outputs from ``state`` on.
+def _lane_batches(state: tuple[int, int, int, int]) -> Iterator[tuple[int, array]]:
+    """``(lanes, out)`` for each batch of runs after run 0 of the stream from ``state``.
 
-    Run k starts k ``jump``s from ``state``. Run 0 is made one output at a
-    time by a scalar generator, so a short block makes only what it reads.
-    Later runs come in batches whose lanes step together, one run per lane;
-    batches double from two lanes to ``MAX_LANES``.
+    Run k starts k ``jump``s from ``state``. Batches double from two lanes to
+    ``MAX_LANES``; ``out`` is what ``_step_lanes`` writes, one run per lane.
     """
-    rng = Xoshiro256StarStar._from_state(state)
-    yield (rng.next_u64() for _ in range(LANE_STEPS))
     s0, s1, s2, s3 = state
     x = s0 | s1 << 64 | s2 << 128 | s3 << 192
     lanes = 2
@@ -219,11 +216,19 @@ def _lane_runs(state: tuple[int, int, int, int]) -> Iterator[Iterable[int]]:
             starts.append(x)
         out = array("Q")
         _step_lanes(_pack(starts), lanes, LANE_STEPS, out)
+        yield lanes, out
+        lanes = min(2 * lanes, MAX_LANES)
+
+
+def _lane_runs(state: tuple[int, int, int, int]) -> Iterator[Iterable[int]]:
+    """Runs of ``stream(state)``; run 0 is lazy, so a short block makes only what it reads."""
+    rng = Xoshiro256StarStar._from_state(state)
+    yield (rng.next_u64() for _ in range(LANE_STEPS))
+    for lanes, out in _lane_batches(state):
         if sys.byteorder == "big":
             out.byteswap()
         for i in range(0, 2 * lanes, 2):
             yield out[i :: 2 * lanes]
-        lanes = min(2 * lanes, MAX_LANES)
 
 
 def stream(state: tuple[int, int, int, int]) -> Iterator[int]:
@@ -231,6 +236,15 @@ def stream(state: tuple[int, int, int, int]) -> Iterator[int]:
 
     The same values, in the same order, as successive ``next_u64`` calls of
     a ``Xoshiro256StarStar`` in that state. The first ``LANE_STEPS`` are
-    those calls; the rest are made in lanes (see ``_lane_runs``).
+    those calls; the rest are made in lanes (see ``_lane_batches``).
     """
     return chain.from_iterable(_lane_runs(state))
+
+
+def _top_bytes(state: tuple[int, int, int, int]) -> Iterator[int]:
+    """``out >> 56`` for every output of ``stream(state)``, in stream order."""
+    rng = Xoshiro256StarStar._from_state(state)
+    # Byte 7 of a little-endian slot is the top byte of its output.
+    tops = ((lanes, out.tobytes()[7::_SLOT_BYTES]) for lanes, out in _lane_batches(state))
+    runs = (top[i::lanes] for lanes, top in tops for i in range(lanes))
+    return chain((rng.next_u64() >> 56 for _ in range(LANE_STEPS)), chain.from_iterable(runs))

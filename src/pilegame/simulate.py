@@ -13,7 +13,8 @@ Each block plays its games over ``rng.stream``: the generator's raw
 outputs in stream order, made in lanes that each cover a consecutive run
 of the stream. A block therefore consumes exactly the outputs a scalar
 ``Xoshiro256StarStar`` would give ``play_game``, and the tallies are those
-of the scalar loop; only the speed differs.
+of the scalar loop; only the speed differs. Piles up to 256 read only each
+output's top byte, through one 256-entry table per pile.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
-from .rng import MASK64, MAX_PILE, expand_seed, splitmix64, stream
+from .rng import MASK64, MAX_PILE, _top_bytes, expand_seed, splitmix64, stream
 
 #: z-values for the supported two-sided confidence levels. Levels outside
 #: this table are rejected rather than approximated with an inverse-normal
@@ -39,11 +41,12 @@ Z_BY_LEVEL = {
 #: Below this much work the process-pool overhead dominates; blocks are
 #: then run inline (the partition, and hence the result, is unchanged).
 #: Work is trials times ``max(n.bit_length(), 4)``, which follows the draws
-#: per game (2.23, 4.39, 27.6 at n = 10, 100, 2**40); piles below 16 start the
-#: pool above 100k trials, where n=10 breaks even. ``_pool_parts`` against the
-#: same two blocks inline in fresh interpreters, median of 5, 2-vCPU host,
-#: Python 3.11: n=100 (limit 57k) at 50k/60k trials, pool 141/149 ms against
-#: 127/177 ms; n=2**40 (limit 9.8k) at 5k/10k/20k, 106/159/259 against 108/218/432.
+#: per game (2.23, 4.39, 27.6 at n = 10, 100, 2**40). ``_pool_parts`` against
+#: the same two blocks inline, fresh interpreters, median of 15, 2-vCPU host,
+#: Python 3.11, pool against inline in ms: n=10 (limit 100k) at 100k/150k/200k
+#: trials 137/167/197 against 115/157/224, n=100 (limit 57k) at the same
+#: 243/285/375 against 205/297/401 (every pair's quartiles overlap, so the
+#: limit stays); n=2**40 (limit 9.8k) at 5k/10k/20k, 106/159/259 against 108/218/432.
 _INLINE_WORK_LIMIT = 400_000
 
 
@@ -132,6 +135,13 @@ def play_game(n: int, rng) -> GameTranscript:
     return GameTranscript(initial_n=n, moves=tuple(moves), winner=winner, r_steps=r_steps)
 
 
+@cache
+def _pile_table(p: int) -> tuple[int, ...]:
+    """The pile a draw from pile ``p`` <= 256 leaves, per top byte; -1 where it is rejected."""
+    shift = 8 - (p - 1).bit_length()
+    return tuple(p - (b >> shift) - 1 if b >> shift < p else -1 for b in range(256))
+
+
 def _run_block(n: int, count: int, state: tuple[int, int, int, int]) -> tuple[int, int, int]:
     """Play ``count`` games from pile ``n`` on one generator stream.
 
@@ -140,14 +150,35 @@ def _run_block(n: int, count: int, state: tuple[int, int, int, int]) -> tuple[in
     order, so this loop consumes it exactly like ``play_game`` over a
     ``Xoshiro256StarStar`` in ``state`` (test_simulate pins that
     equivalence). A draw for pile p keeps the top bits of one output that
-    can hold p - 1 and rejects values >= p. Returns (deterministic wins, sum
-    of R-move counts, sum of squared counts).
+    can hold p - 1 and rejects values >= p. Piles up to 256 keep at most the
+    top byte, which indexes the pile's ``_pile_table``. Returns (deterministic
+    wins, sum of R-move counts, sum of squared counts).
     """
-    d_wins = steps_sum = steps_sq_sum = 0
+    d_wins = steps_sum = steps_sq_sum = r_steps = 0
     if count < 1:
         return d_wins, steps_sum, steps_sq_sum
+    if n <= 256:  # every draw keeps at most the top 8 bits of an output
+        follow = [(), (), *map(_pile_table, range(1, n - 1))]  # [q]: the table of pile q - 1
+        first = table = _pile_table(n)
+        for b in _top_bytes(state):
+            q = table[b]
+            if q > 1:
+                r_steps += 1
+                table = follow[q]
+                continue
+            if q < 0:
+                continue
+            r_steps += 1
+            d_wins += q
+            steps_sum += r_steps
+            steps_sq_sum += r_steps * r_steps
+            count -= 1
+            if not count:
+                break
+            table, r_steps = first, 0
+        return d_wins, steps_sum, steps_sq_sum
     first_shift = 64 - (n - 1).bit_length()
-    pile, shift, r_steps = n, first_shift, 0
+    pile, shift = n, first_shift
     for out in stream(state):
         v = out >> shift
         if v < pile:

@@ -14,6 +14,7 @@ from pilegame.rng import (
     MAX_LANES,
     MAX_PILE,
     Xoshiro256StarStar,
+    _top_bytes,
     expand_seed,
     jump,
     splitmix64,
@@ -169,7 +170,18 @@ def test_stream_equals_successive_next_u64(state):
     assert list(islice(stream(state), count)) == [rng.next_u64() for _ in range(count)]
 
 
+@settings(max_examples=10, deadline=None)
+@given(states)
+def test_top_bytes_are_the_top_bytes_of_stream(state):
+    # The count of the test above: every growing batch, then two full ones.
+    count = LANE_STEPS * (2 * MAX_LANES - 1 + 2 * MAX_LANES)
+    expected = [x >> 56 for x in islice(stream(state), count)]
+    assert list(islice(_top_bytes(state), count)) == expected
+
+
 def test_jump_tables_are_not_built_at_import():
-    code = "import pilegame.cli, pilegame.rng; print(pilegame.rng._jump_tables.cache_info().currsize)"
+    code = ("import pilegame.cli, pilegame.rng, pilegame.simulate; "
+            "print(pilegame.rng._jump_tables.cache_info().currsize, "
+            "pilegame.simulate._pile_table.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "0"
+    assert out.stdout.split() == ["0", "0"]

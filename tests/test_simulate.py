@@ -98,8 +98,9 @@ def test_transcripts_are_legal():
 
 
 def test_fast_block_matches_play_game():
-    """The block loop consumes the stream exactly like play_game."""
-    for n in (1, 2, 3, 7, 12):
+    """The block loop consumes the stream exactly like play_game, on both
+    sides of the switch from top-byte tables to 64-bit draws above 256."""
+    for n in (1, 2, 3, 7, 12, 255, 256, 257):
         state = expand_seed(4242 + n)
         assert _run_block(n, 2000, state) == block_by_play_game(n, 2000, state), f"n={n}"
 
@@ -108,6 +109,7 @@ def test_fast_block_matches_play_game():
 #: without rejection, every power of two and its neighbours, and the largest.
 edge_piles = st.one_of(
     st.sampled_from([1, 2, 3, 2**63, MAX_PILE]),
+    st.integers(0, 64).map(lambda k: 2**k),
     st.integers(1, 64).map(lambda k: 2**k - 1),
     st.integers(1, 63).map(lambda k: 2**k + 1),
 )
