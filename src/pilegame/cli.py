@@ -78,8 +78,8 @@ def _emit(rows: list[dict], fmt: str, method: str, seed: int | None = None) -> N
     ``csv.writer(lineterminator="\\n")`` writes for rows of two or more
     cells, as every report's are; it writes a lone empty cell as ``""``.
     """
+    write = sys.stdout.write
     if fmt == "csv":
-        write = sys.stdout.write
         write(",".join(map(_csv_cell, rows[0])) + "\n")
         for row in rows:
             write(",".join(map(_csv_cell, row.values())) + "\n")
@@ -87,7 +87,7 @@ def _emit(rows: list[dict], fmt: str, method: str, seed: int | None = None) -> N
         import json
 
         meta = {"seed": seed, "method": method, "version": __version__}
-        click.echo(json.dumps({"rows": rows, "meta": meta}, indent=2))
+        write(json.dumps({"rows": rows, "meta": meta}, indent=2) + "\n")
 
 
 def _format_option(f):
@@ -192,9 +192,9 @@ def verify(n_max: int, oracle_max: int) -> None:
     """Run every named cross-check; exit 0 only if all of them pass."""
     results = run_checks(n_max=n_max, oracle_max=oracle_max)
     for result in results:
-        click.echo(str(result))
+        sys.stdout.write(f"{result}\n")
     failures = sum(1 for result in results if not result.passed)
-    click.echo(f"{len(results) - failures}/{len(results)} checks passed")
+    sys.stdout.write(f"{len(results) - failures}/{len(results)} checks passed\n")
     if failures:
         sys.exit(1)
 

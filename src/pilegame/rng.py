@@ -20,7 +20,7 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import cache, reduce
-from itertools import chain
+from itertools import chain, islice
 from operator import getitem, xor
 from typing import Iterable, Iterator
 
@@ -243,8 +243,9 @@ def stream(state: tuple[int, int, int, int]) -> Iterator[int]:
 
 def _top_bytes(state: tuple[int, int, int, int]) -> Iterator[int]:
     """``out >> 56`` for every output of ``stream(state)``, in stream order."""
-    rng = Xoshiro256StarStar._from_state(state)
     # Byte 7 of a little-endian slot is the top byte of its output.
     tops = ((lanes, out.tobytes()[7::_SLOT_BYTES]) for lanes, out in _lane_batches(state))
     runs = (top[i::lanes] for lanes, top in tops for i in range(lanes))
-    return chain((rng.next_u64() >> 56 for _ in range(LANE_STEPS)), chain.from_iterable(runs))
+    # Run 0 is ``stream``'s lazy one: ``islice`` stops without asking for run 1.
+    run0 = (x >> 56 for x in islice(stream(state), LANE_STEPS))
+    return chain(run0, chain.from_iterable(runs))

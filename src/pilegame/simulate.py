@@ -210,10 +210,14 @@ def block_sizes(trials: int, workers: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(workers)]
 
 
+def _merged(parts) -> tuple[int, int, int]:
+    """The elementwise sum of (d_wins, steps_sum, steps_sq_sum) tallies."""
+    return tuple(map(sum, zip(*parts)))
+
+
 def _run_blocks(n: int, jobs: list) -> tuple[int, int, int]:
     """Summed ``_run_block`` tallies of ``jobs``, (size, state) pairs in any order."""
-    parts = [_run_block(n, size, state) for size, state in jobs]
-    return tuple(sum(part[i] for part in parts) for i in range(3))
+    return _merged(_run_block(n, size, state) for size, state in jobs)
 
 
 def _pool_parts(n: int, jobs: list) -> list[tuple[int, int, int]]:
@@ -249,20 +253,20 @@ def run_trial_sums(n: int, trials: int, seed: int = 0, workers: int = 1) -> Tria
         (size, expand_seed(stream_seed(seed, i)))
         for i, size in enumerate(block_sizes(trials, min(workers, trials)))
     ]
-    parts = None
     if len(jobs) > 1 and trials * max(n.bit_length(), 4) > _INLINE_WORK_LIMIT:
         try:
-            parts = _pool_parts(n, jobs)
+            return TrialSums(*_merged(_pool_parts(n, jobs)))
         except (OSError, NotImplementedError) as exc:
             print(f"pilegame: process pool did not start ({exc!r}); "
                   f"running {len(jobs)} blocks inline", file=sys.stderr)
-    if parts is None:
-        parts = [_run_blocks(n, jobs)]
-    return TrialSums(
-        d_wins=sum(p[0] for p in parts),
-        steps_sum=sum(p[1] for p in parts),
-        steps_sq_sum=sum(p[2] for p in parts),
-    )
+    return TrialSums(*_run_blocks(n, jobs))
+
+
+def _z(ci_level: float) -> float:
+    """The z-value of ``ci_level``, which must be a key of ``Z_BY_LEVEL``."""
+    if ci_level not in Z_BY_LEVEL:
+        raise ValueError(f"unsupported ci_level {ci_level}; choose from {sorted(Z_BY_LEVEL)}")
+    return Z_BY_LEVEL[ci_level]
 
 
 def run_trials(
@@ -286,10 +290,7 @@ def run_trials(
     Returns:
         A SimResult; bit-identical for identical argument tuples.
     """
-    if ci_level not in Z_BY_LEVEL:
-        raise ValueError(
-            f"unsupported ci_level {ci_level}; choose from {sorted(Z_BY_LEVEL)}"
-        )
+    _z(ci_level)  # fails before any game is played
     sums = run_trial_sums(n, trials, seed=seed, workers=workers)
     ci_low, ci_high = wilson_interval(sums.d_wins, trials, ci_level)
     return SimResult(
@@ -324,11 +325,7 @@ def wilson_interval(wins: int, trials: int, ci_level: float = 0.99) -> tuple[flo
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= wins <= trials:
         raise ValueError(f"wins={wins} outside 0..{trials}")
-    if ci_level not in Z_BY_LEVEL:
-        raise ValueError(
-            f"unsupported ci_level {ci_level}; choose from {sorted(Z_BY_LEVEL)}"
-        )
-    z = Z_BY_LEVEL[ci_level]
+    z = _z(ci_level)
     p_hat = wins / trials
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2.0 * trials)) / denom

@@ -199,9 +199,9 @@ def check_alternating_bound(table: WinTable) -> CheckResult:
     over m > n, so row n fails exactly when one of them lies more than
     L/(n+1)! from r_n. L is n_max! for an honest table; for unrelated
     denominators it grows to their product, still polynomial in the table's
-    size. Only the first failing row is rescanned in ascending m on
-    Fractions, so the detail names the same first (n, m) as a scan over all
-    pairs.
+    size. Only the first failing row is rescanned, on the same integers in
+    ascending m, so the detail names the same first (n, m) as a scan over
+    all pairs.
     """
     scale = math.lcm(*(value.denominator for value in table.r))  # L
     r = [value.numerator * (scale // value.denominator) for value in table.r]
@@ -212,13 +212,11 @@ def check_alternating_bound(table: WinTable) -> CheckResult:
     for n in range(table.n_max):
         fact *= n + 1
         if max(hi[n + 1] - r[n], r[n] - lo[n + 1]) * fact > scale:
-            bound_n = Fraction(1, fact)  # 1/(n+1)!
-            d = [table.d(k) for k in range(table.n_max + 1)]
-            m = next(m for m in range(n + 1, table.n_max + 1) if abs(d[n] - d[m]) > bound_n)
+            m = next(m for m in range(n + 1, table.n_max + 1) if abs(r[m] - r[n]) * fact > scale)
             return _fail(
                 "alternating-bound",
-                f"|D_{n} - D_{m}| = {abs(d[n] - d[m])} exceeds "
-                f"1/{n + 1}! = {bound_n} (n={n}, m={m})",
+                f"|D_{n} - D_{m}| = {abs(table.d(n) - table.d(m))} exceeds "
+                f"1/{n + 1}! = {Fraction(1, fact)} (n={n}, m={m})",
             )
     return _ok("alternating-bound")
 

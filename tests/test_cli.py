@@ -234,6 +234,29 @@ def test_verify_detects_tampered_table(monkeypatch):
     assert result.exit_code == 1
     assert "FAIL recursive-vs-telescoping" in result.output
     assert "n=10" in result.output
+    # The whole report, byte for byte: every line, the count and its newline.
+    assert result.stdout == (
+        "PASS base-cases\n"
+        "FAIL recursive-vs-telescoping: recursive gives 28319/44800 but telescoping gives 1/3"
+        " at n=10\n"
+        "PASS recursive-vs-closed-form\n"
+        "PASS recursive-vs-gf\n"
+        "FAIL telescoping-vs-closed-form: telescoping gives 1/3 but closed_form gives"
+        " 28319/44800 at n=10\n"
+        "FAIL telescoping-vs-gf: telescoping gives 1/3 but gf gives 28319/44800 at n=10\n"
+        "PASS closed-form-vs-gf\n"
+        "PASS derangement-identity\n"
+        "PASS telescoping-differences\n"
+        "PASS oracle-win-prob\n"
+        "PASS oracle-win-prob-no-memo\n"
+        "PASS oracle-steps\n"
+        "PASS q-recursion\n"
+        "PASS steps-vs-q-recursion\n"
+        "PASS alternating-bound\n"
+        "PASS limit-gap\n"
+        "13/16 checks passed\n"
+    )
+    assert result.stderr == ""
 
 
 def test_help_lists_all_subcommands():

@@ -18,6 +18,7 @@ from pilegame.simulate import (
     Move,
     Z_BY_LEVEL,
     SimResult,
+    TrialSums,
     _pool_parts,
     _run_block,
     _run_blocks,
@@ -171,12 +172,13 @@ def test_pool_threshold_weighs_trials_by_pile_size(monkeypatch):
 
     def pool_parts(n, jobs):
         pooled.append(n)
-        return [(0, 0, 0)] * len(jobs)
+        return [(1, 2, 3)] * len(jobs)
 
     monkeypatch.setattr("pilegame.simulate._pool_parts", pool_parts)
     run_trial_sums(10, 20_000, workers=2)
     assert pooled == []
-    run_trial_sums(2**40, 20_000, workers=2)
+    # The pool's merged parts are the result; no block runs inline after it.
+    assert run_trial_sums(2**40, 20_000, workers=2) == TrialSums(2, 4, 6)
     assert pooled == [2**40]
 
 
@@ -247,7 +249,7 @@ def test_estimates_track_exact_values():
         assert result.ci_low <= result.p_hat <= result.ci_high
 
 
-def test_run_trials_validates_arguments():
+def test_run_trials_validates_arguments(monkeypatch):
     with pytest.raises(ValueError):
         run_trials(0, 10)
     with pytest.raises(ValueError):
@@ -256,7 +258,15 @@ def test_run_trials_validates_arguments():
         run_trials(3, 10, workers=0)
     with pytest.raises(ValueError):
         run_trials(3, 10, seed=-1)
-    with pytest.raises(ValueError):
+    # A bad level fails before any game is played.
+    def no_games(*args, **kwargs):
+        pytest.fail("run_trial_sums ran before the ci_level check")
+
+    monkeypatch.setattr("pilegame.simulate.run_trial_sums", no_games)
+    with pytest.raises(
+        ValueError,
+        match=r"^unsupported ci_level 0\.98; choose from \[0\.9, 0\.95, 0\.99, 0\.999\]$",
+    ):
         run_trials(3, 10, ci_level=0.98)
 
 

@@ -248,8 +248,10 @@ def test_tampered_q_sequence_fails_consistency():
 def test_tampered_table_fails_alternating_bound():
     tampered = _corrupt_table(solve_recursive(20), 10, Fraction(1, 3))
     result = check_alternating_bound(tampered)
-    assert not result.passed
-    assert "n=" in result.detail and "m=" in result.detail
+    # m = 2 would meet the bound with equality, so the first m past it is 10.
+    assert str(result) == (
+        "FAIL alternating-bound: |D_1 - D_10| = 2/3 exceeds 1/2! = 1/2 (n=1, m=10)"
+    )
 
 
 def test_tampered_table_fails_limit_gap():
