@@ -19,8 +19,9 @@ keeps running prefix sums of reduced Fractions; the second evaluates
 1 minus the sum from k = 0 by Horner's rule over integers,
 s_k = k*s_{k-1} + (-1)^k, so s_k = k! * sum_{j<=k} (-1)^j/j!; the third
 expands the generating function (1 - e^{-x})/(1 - x), where the product
-with sum_i x^i is a running sum of the n_max!-scaled coefficients of
-1 - e^{-x}. They stay separate routes on purpose, each derived from its own
+with sum_i x^i is a running sum c_k of the n_max!-scaled coefficients of
+1 - e^{-x}, each divided exactly by n_max!/k! and reduced over k!. They
+stay separate routes on purpose, each derived from its own
 formula and sharing no value with another, so that a slip in one
 accumulation is caught by the others.
 
@@ -80,7 +81,7 @@ class WinTable:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         for n, value in enumerate(self.r):
-            if not 0 <= value <= 1:
+            if not 0 <= value.numerator <= value.denominator:
                 raise ValueError(f"R_{n} = {value} is outside [0, 1]")
 
     @property
@@ -225,21 +226,31 @@ def gf_table(n_max: int) -> WinTable:
     second factor is scaled by n_max!, so its coefficients are the integers
     e_j = (-1)^(j+1) n_max!/j!. Multiplying by sum_i x^i is, coefficient by
     coefficient, the running sum c_k = e_0 + ... + e_k, so one integer sum
-    gives every coefficient and each is reduced once as
-    ``Fraction(c_k, n_max!)``. This is the alternating sum that
+    gives every coefficient. Every e_j with j <= k is a multiple of
+    n_max!/k!, which is |e_k|, so c_k is divided by it exactly and the
+    quotient, k! times coefficient k, is reduced once as
+    ``Fraction(c_k // (n_max!/k!), k!)``: its gcd runs on numbers the size
+    of k!, not n_max!. This is the alternating sum that
     ``solve_telescoping`` and ``closed_form`` also compute, here in a third
     arithmetic: the route derives its own series and calls no other route.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    # n_max! times the coefficients of 1 - sum (-x)^j / j!.
+    # n_max! times the coefficients of 1 - sum (-x)^j / j!, and n_max!/j!.
     exp_part = [0] * (n_max + 1)
+    ratios = [0] * (n_max + 1)
     term = 1  # n_max!/j!, starting at j = n_max
     for j in range(n_max, 0, -1):
         exp_part[j] = term if j % 2 else -term
+        ratios[j] = term
         term *= j
-    scale = term  # n_max!
-    return WinTable(r=tuple(Fraction(c_k, scale) for c_k in accumulate(exp_part)), method="gf")
+    ratios[0] = term  # n_max!
+    facts = accumulate(range(1, n_max + 1), mul, initial=1)
+    r = tuple(
+        Fraction(c_k // ratio, fact)
+        for c_k, ratio, fact in zip(accumulate(exp_part), ratios, facts)
+    )
+    return WinTable(r=r, method="gf")
 
 
 _SOLVERS = {

@@ -39,7 +39,7 @@ class StepsTable:
             raise ValueError(f"E(Z_1) must be 1, got {self.ez[0]}")
         if self.n_max >= 2 and self.ez[1] != 1:
             raise ValueError(f"E(Z_2) must be 1, got {self.ez[1]}")
-        if any(value < 1 for value in self.ez):
+        if any(value.numerator < value.denominator for value in self.ez):
             raise ValueError("every E(Z_n) is at least 1: one move always happens")
 
     @property

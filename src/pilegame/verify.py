@@ -8,13 +8,18 @@ behind it) can pinpoint a disagreement:
                                owner: ``WinTable`` does not enforce it)
 * ``<a>-vs-<b>``             -- the four solver paths, pairwise, exact equality
 * ``derangement-identity``   -- 1 - R_n = d_n / n! for every n (the one owner
-                               of the rules on the counts d_n)
-* ``telescoping-differences``-- R_n - R_{n-1} = (-1)^(n+1)/n!
+                               of the rules on the counts d_n), proved per
+                               row as n! - n!*R_n = d_n over integers
+* ``telescoping-differences``-- R_n - R_{n-1} = (-1)^(n+1)/n!, proved per row
+                               over n!-scaled integers
 * ``oracle-win-prob``        -- game-tree D_n equals the solvers' D_n
 * ``oracle-win-prob-no-memo``-- same, with the pure cache-free tree walk
 * ``oracle-steps``           -- game-tree E(Z_n) equals the recursion's
-* ``q-recursion``            -- n*E(Q_n) = 1 - E(Q_{n-1}) with E(Q_2) = 0
-* ``steps-vs-q-recursion``   -- summed-recursion differences match q_sequence
+* ``q-recursion``            -- n*E(Q_n) = 1 - E(Q_{n-1}) with E(Q_2) = 0,
+                               proved per row over n!-scaled integers
+* ``steps-vs-q-recursion``   -- summed-recursion differences match
+                               q_sequence, proved per row over n!-scaled
+                               integers
 * ``alternating-bound``      -- |D_n - D_m| <= 1/(n+1)! for all n < m, checked
                                with an integer suffix max/min scan over one
                                common denominator that reports the same first
@@ -23,6 +28,15 @@ behind it) can pinpoint a disagreement:
 
 All equality checks run on exact rationals; only ``limit-gap`` touches
 floats, and it compares them exactly after lifting back to rationals.
+
+``derangement-identity``, ``telescoping-differences``, ``q-recursion`` and
+``steps-vs-q-recursion`` prove each row over integers. Every value they
+compare has a denominator dividing n! when the inputs are honest, so each
+value is scaled to its row's factorial with one ``divmod`` and the row
+becomes an integer equality, e.g. n!*E(Z_n) - n*((n-1)!*E(Z_{n-1})) =
+n!*E(Q_n). A row whose denominators do not divide n!, or whose integers
+disagree, is decided by the same exact ``Fraction`` expression that writes
+its failure detail, so verdicts and details do not depend on the shortcut.
 """
 
 from __future__ import annotations
@@ -72,6 +86,17 @@ def _fail(check_id: str, detail: str) -> CheckResult:
     return CheckResult(check_id=check_id, passed=False, detail=detail)
 
 
+def _times(fact: int, value: Fraction) -> int | None:
+    """fact*value as an integer, or None when value's denominator does not divide fact.
+
+    For an honest row the quotient fact/denominator is small, so this costs
+    one cheap division and one small-by-big product, where a ``Fraction``
+    sum or difference would take a gcd on numbers the size of fact.
+    """
+    quotient, remainder = divmod(fact, value.denominator)
+    return None if remainder else value.numerator * quotient
+
+
 def check_base_cases(table: WinTable) -> CheckResult:
     expected = {0: Fraction(0), 1: Fraction(1), 2: Fraction(1, 2)}
     for n, value in expected.items():
@@ -97,39 +122,50 @@ def check_derangement_identity(table: WinTable, counts: tuple[int, ...]) -> Chec
     """1 - R_n must equal d_n/n! exactly for every n in the table.
 
     ``counts`` is (d_0, ..., d_{n_max}) from ``derangements``; a wrong or
-    negative count fails here, naming n.
+    negative count fails here, naming n. Each row is proved over integers,
+    n! - n!*R_n = d_n; a row that proof does not settle is decided by
+    comparing 1 - R_n with ``Fraction(d_n, n!)``.
     """
     if table.n_max != len(counts) - 1:
         return _fail(
             "derangement-identity",
             f"table sizes differ: {table.n_max} vs {len(counts) - 1}",
         )
-    # 1 - R_n = (den - num)/den and d_n/n! are compared cross-multiplied
-    # (both denominators are positive), so d_n/n! is reduced only to report
-    # a failure.
     fact = 1  # n!
-    for n, (r, d_n) in enumerate(zip(table.r, counts)):
+    for n, (value, d_n) in enumerate(zip(table.r, counts)):
         fact *= max(n, 1)
-        if (r.denominator - r.numerator) * fact != d_n * r.denominator:
-            return _fail(
-                "derangement-identity",
-                f"1 - R_{n} = {table.d(n)} but d_{n}/{n}! = {Fraction(d_n, fact)} (n={n})",
-            )
+        scaled = _times(fact, value)
+        if scaled is None or fact - scaled != d_n:
+            expected = Fraction(d_n, fact)
+            if table.d(n) != expected:
+                return _fail(
+                    "derangement-identity",
+                    f"1 - R_{n} = {table.d(n)} but d_{n}/{n}! = {expected} (n={n})",
+                )
     return _ok("derangement-identity")
 
 
 def check_telescoping_differences(table: WinTable) -> CheckResult:
-    """R_n - R_{n-1} = (-1)^(n+1)/n! exactly, for n >= 1."""
-    fact = 1
+    """R_n - R_{n-1} = (-1)^(n+1)/n! exactly, for n >= 1.
+
+    Each row is proved over integers, n!*R_n - n*((n-1)!*R_{n-1}) =
+    (-1)^(n+1); a row that proof does not settle is decided by the
+    ``Fraction`` difference.
+    """
+    fact = 1  # n!
+    before = _times(1, table.r[0])  # (n-1)!*R_{n-1}
     for n in range(1, table.n_max + 1):
         fact *= n
-        expected = Fraction((-1) ** (n + 1), fact)
-        if table.r[n] - table.r[n - 1] != expected:
-            return _fail(
-                "telescoping-differences",
-                f"R_{n} - R_{n - 1} = {table.r[n] - table.r[n - 1]}, "
-                f"expected {expected} (n={n})",
-            )
+        scaled = _times(fact, table.r[n])
+        if None in (before, scaled) or scaled - n * before != (1 if n % 2 else -1):
+            expected = Fraction((-1) ** (n + 1), fact)
+            if table.r[n] - table.r[n - 1] != expected:
+                return _fail(
+                    "telescoping-differences",
+                    f"R_{n} - R_{n - 1} = {table.r[n] - table.r[n - 1]}, "
+                    f"expected {expected} (n={n})",
+                )
+        before = scaled
     return _ok("telescoping-differences")
 
 
@@ -158,36 +194,59 @@ def check_oracle_steps(steps: StepsTable, oracle_max: int) -> CheckResult:
 
 
 def check_q_recursion(qseq: tuple[Fraction, ...]) -> CheckResult:
-    """The first-order identity on the sequence produced by q_sequence."""
+    """The first-order identity on the sequence produced by q_sequence.
+
+    Each row is proved over integers,
+    n*(n!*E(Q_n)) = n! - n*((n-1)!*E(Q_{n-1})); a row that proof does not
+    settle is decided in ``Fraction`` arithmetic.
+    """
     if not qseq:
         return _fail("q-recursion", "no E(Q_2), expected 0 (n=2)")
     if qseq[0] != 0:
         return _fail("q-recursion", f"E(Q_2) = {qseq[0]}, expected 0 (n=2)")
+    fact = 2  # n!
+    before = 0  # (n-1)!*E(Q_{n-1}), from E(Q_2) = 0
     for i in range(1, len(qseq)):
         n = i + 2
-        if n * qseq[i] != 1 - qseq[i - 1]:
-            return _fail(
-                "q-recursion",
-                f"{n}*E(Q_{n}) = {n * qseq[i]} but 1 - E(Q_{n - 1}) = "
-                f"{1 - qseq[i - 1]} (n={n})",
-            )
+        fact *= n
+        scaled = _times(fact, qseq[i])
+        if None in (before, scaled) or n * scaled != fact - n * before:
+            if n * qseq[i] != 1 - qseq[i - 1]:
+                return _fail(
+                    "q-recursion",
+                    f"{n}*E(Q_{n}) = {n * qseq[i]} but 1 - E(Q_{n - 1}) = "
+                    f"{1 - qseq[i - 1]} (n={n})",
+                )
+        before = scaled
     return _ok("q-recursion")
 
 
 def check_steps_vs_q(steps: StepsTable, qseq: tuple[Fraction, ...]) -> CheckResult:
-    """Differences of the summed recursion must match the q_sequence values."""
+    """Differences of the summed recursion must match the q_sequence values.
+
+    Each row is proved over integers, n!*E(Z_n) - n*((n-1)!*E(Z_{n-1})) =
+    n!*E(Q_n); a row that proof does not settle is decided by
+    ``StepsTable.eq_at``'s ``Fraction`` difference.
+    """
     if steps.n_max != len(qseq) + 1:
         return _fail(
             "steps-vs-q-recursion",
             f"table sizes differ: {steps.n_max} vs {len(qseq) + 1}",
         )
+    fact = 1  # n!
+    before = _times(1, steps.ez[0])  # (n-1)!*E(Z_{n-1})
     for n, value in enumerate(qseq, start=2):
-        if steps.eq_at(n) != value:
-            return _fail(
-                "steps-vs-q-recursion",
-                f"difference table gives E(Q_{n}) = {steps.eq_at(n)}, "
-                f"first-order recursion gives {value} (n={n})",
-            )
+        fact *= n
+        scaled = _times(fact, steps.ez[n - 1])
+        q_scaled = _times(fact, value)
+        if None in (before, scaled, q_scaled) or scaled - n * before != q_scaled:
+            if steps.eq_at(n) != value:
+                return _fail(
+                    "steps-vs-q-recursion",
+                    f"difference table gives E(Q_{n}) = {steps.eq_at(n)}, "
+                    f"first-order recursion gives {value} (n={n})",
+                )
+        before = scaled
     return _ok("steps-vs-q-recursion")
 
 

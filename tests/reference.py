@@ -10,7 +10,11 @@ The ``*_by_terms``, ``*_by_convolution`` and ``*_by_pairs`` routines at the
 end are the slow, direct forms of fast package code: per-term ``Fraction``
 sums for the closed form and the generating function, the literal integer
 convolution that ``gf_table`` takes as a running sum, and the scan over
-every pair for the alternating bound. ``closed_form_from_scratch`` sums
+every pair for the alternating bound. ``gf_running_sum_over_n_max_factorial``
+reduces every coefficient over n_max!, where ``gf_table`` first divides out
+n_max!/k!, and the four ``*_by_fractions`` / ``*_cross_multiplied`` checks
+decide every row the way ``verify`` decides only the rows its integer proof
+does not settle. ``closed_form_from_scratch`` sums
 the closed form afresh for each n over integers, from k = n down to 0, and
 pins the package's one Horner pass. ``oracle_walk_per_branch`` is the
 game-tree walk that weights each branch by 1/pile as it adds it, and
@@ -25,7 +29,7 @@ exactly.
 import csv
 import io
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 
 from pilegame.cli import _csv_cell
 from pilegame.rng import Xoshiro256StarStar
@@ -187,6 +191,92 @@ def gf_coefficients_by_convolution(n_max: int) -> tuple[Fraction, ...]:
             c_k += geometric[k - j] * exp_part[j]
         coeffs.append(Fraction(c_k, scale))
     return tuple(coeffs)
+
+
+def gf_running_sum_over_n_max_factorial(n_max: int) -> tuple[Fraction, ...]:
+    """Coefficients 0..n_max of (sum_i x^i) * (1 - sum_j (-x)^j/j!), each over n_max!.
+
+    The running integer sum c_k = e_0 + ... + e_k of the n_max!-scaled
+    coefficients e_j, with each c_k reduced as ``Fraction(c_k, n_max!)``.
+    """
+    exp_part = [0] * (n_max + 1)
+    term = 1  # n_max!/j!, starting at j = n_max
+    for j in range(n_max, 0, -1):
+        exp_part[j] = term if j % 2 else -term
+        term *= j
+    return tuple(Fraction(c_k, term) for c_k in accumulate(exp_part))
+
+
+def derangement_identity_cross_multiplied(table, counts) -> str:
+    """The ``derangement-identity`` line, every row compared cross-multiplied.
+
+    1 - R_n = (den - num)/den and d_n/n! have positive denominators, so the
+    row holds exactly when (den - num)*n! == d_n*den.
+    """
+    if table.n_max != len(counts) - 1:
+        return (
+            "FAIL derangement-identity: "
+            f"table sizes differ: {table.n_max} vs {len(counts) - 1}"
+        )
+    fact = 1
+    for n, (r, d_n) in enumerate(zip(table.r, counts)):
+        fact *= max(n, 1)
+        if (r.denominator - r.numerator) * fact != d_n * r.denominator:
+            return (
+                "FAIL derangement-identity: "
+                f"1 - R_{n} = {1 - r} but d_{n}/{n}! = {Fraction(d_n, fact)} (n={n})"
+            )
+    return "PASS derangement-identity"
+
+
+def telescoping_differences_by_fractions(table) -> str:
+    """The ``telescoping-differences`` line, every row a ``Fraction`` difference."""
+    fact = 1
+    for n in range(1, table.n_max + 1):
+        fact *= n
+        expected = Fraction((-1) ** (n + 1), fact)
+        if table.r[n] - table.r[n - 1] != expected:
+            return (
+                "FAIL telescoping-differences: "
+                f"R_{n} - R_{n - 1} = {table.r[n] - table.r[n - 1]}, "
+                f"expected {expected} (n={n})"
+            )
+    return "PASS telescoping-differences"
+
+
+def q_recursion_by_fractions(qseq) -> str:
+    """The ``q-recursion`` line, every row n*E(Q_n) = 1 - E(Q_{n-1}) in Fractions."""
+    if not qseq:
+        return "FAIL q-recursion: no E(Q_2), expected 0 (n=2)"
+    if qseq[0] != 0:
+        return f"FAIL q-recursion: E(Q_2) = {qseq[0]}, expected 0 (n=2)"
+    for i in range(1, len(qseq)):
+        n = i + 2
+        if n * qseq[i] != 1 - qseq[i - 1]:
+            return (
+                "FAIL q-recursion: "
+                f"{n}*E(Q_{n}) = {n * qseq[i]} but 1 - E(Q_{n - 1}) = "
+                f"{1 - qseq[i - 1]} (n={n})"
+            )
+    return "PASS q-recursion"
+
+
+def steps_vs_q_by_fractions(steps, qseq) -> str:
+    """The ``steps-vs-q-recursion`` line, every row E(Z_n) - E(Z_{n-1}) in Fractions."""
+    if steps.n_max != len(qseq) + 1:
+        return (
+            "FAIL steps-vs-q-recursion: "
+            f"table sizes differ: {steps.n_max} vs {len(qseq) + 1}"
+        )
+    for n, value in enumerate(qseq, start=2):
+        difference = steps.ez[n - 1] - steps.ez[n - 2]
+        if difference != value:
+            return (
+                "FAIL steps-vs-q-recursion: "
+                f"difference table gives E(Q_{n}) = {difference}, "
+                f"first-order recursion gives {value} (n={n})"
+            )
+    return "PASS steps-vs-q-recursion"
 
 
 def alternating_bound_by_pairs(table) -> str:

@@ -29,6 +29,7 @@ from reference import (
     closed_form_from_scratch,
     gf_coefficients_by_convolution,
     gf_coefficients_by_terms,
+    gf_running_sum_over_n_max_factorial,
 )
 
 
@@ -143,6 +144,11 @@ def test_closed_form_is_its_table_entry_and_the_derangement_complement(n, j):
 @pytest.mark.parametrize("n_max", [0, 1, 2, 81, 200, 400])
 def test_gf_running_sum_equals_the_integer_convolution(n_max):
     assert gf_table(n_max).r == gf_coefficients_by_convolution(n_max)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 81, 400, 1000])
+def test_gf_table_equals_the_running_sum_over_n_max_factorial(n_max):
+    assert gf_table(n_max).r == gf_running_sum_over_n_max_factorial(n_max)
 
 
 def test_all_routes_equal_recursive_at_n_max_1000():

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pilegame.exact import WinTable, derangements, solve_recursive
-from pilegame.steps import expected_steps, q_sequence
+from pilegame.steps import StepsTable, expected_steps, q_sequence
 from pilegame.verify import (
     CheckResult,
     check_alternating_bound,
@@ -24,7 +24,13 @@ from pilegame.verify import (
     check_telescoping_differences,
     run_checks,
 )
-from reference import alternating_bound_by_pairs
+from reference import (
+    alternating_bound_by_pairs,
+    derangement_identity_cross_multiplied,
+    q_recursion_by_fractions,
+    steps_vs_q_by_fractions,
+    telescoping_differences_by_fractions,
+)
 
 EXPECTED_IDS = [
     "base-cases",
@@ -134,6 +140,72 @@ def _prime_denominator_table(n_max):
             p += 2
         r.append(Fraction(round((honest.r[n] + honest.r[n + 2]) / 2 * p), p))
     return WinTable(r=tuple(r), method=honest.method)
+
+
+def _unvalidated(cls, **fields):
+    """A ``cls`` instance holding ``fields`` as given, skipping its range checks."""
+    instance = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(instance, name, value)
+    return instance
+
+
+#: Primes above every n_max that ``_row_check_inputs`` draws.
+_PRIMES_ABOVE_N_MAX = (83, 2**31 - 1, 2**61 - 1)
+
+
+@st.composite
+def _row_check_inputs(draw):
+    """(kind, table, counts, steps, qseq) for one n_max, honest, tampered or shifted.
+
+    A tamper replaces one entry: an R_n, E(Z_n) or E(Q_n) by an arbitrary
+    fraction (kept valid for its table), or a count d_n by an arbitrary
+    integer. The shift adds 1/p, for a prime p > n_max, to every R_n and
+    every E(Z_n): no denominator then divides n!, so every row goes to the
+    Fraction fallback, yet the differences, and with them
+    ``telescoping-differences`` and ``steps-vs-q-recursion``, are unchanged.
+    R_1 + 1/p lies above 1 and E(Z_1) + 1/p is not 1, so those tables are
+    built without their range checks. E(Q_n) is not shifted, because the
+    recursion and E(Q_2) = 0 leave no other sequence that passes.
+    """
+    n_max = draw(st.integers(2, 80))
+    r = list(solve_recursive(n_max).r)
+    counts = list(derangements(n_max))
+    ez = list(expected_steps(n_max).ez)
+    qseq = list(q_sequence(n_max))
+    kind = draw(st.sampled_from(("honest", "tamper", "shifted")))
+    if kind == "shifted":
+        shift = Fraction(1, draw(st.sampled_from(_PRIMES_ABOVE_N_MAX)))
+        table = _unvalidated(WinTable, r=tuple(v + shift for v in r), method="recursive")
+        steps = _unvalidated(StepsTable, ez=tuple(v + shift for v in ez))
+        return kind, table, tuple(counts), steps, tuple(qseq)
+    if kind == "tamper":
+        target = draw(st.sampled_from(("r", "counts", "ez", "qseq")))
+        if target == "r":
+            r[draw(st.integers(0, n_max))] = draw(st.fractions(0, 1))
+        elif target == "counts":
+            counts[draw(st.integers(0, n_max))] = draw(st.integers(-(10**30), 10**30))
+        elif target == "ez" and n_max >= 3:  # E(Z_1) = E(Z_2) = 1 are fixed
+            ez[draw(st.integers(2, n_max - 1))] = draw(st.fractions(min_value=1))
+        elif target == "qseq":
+            qseq[draw(st.integers(0, n_max - 2))] = draw(st.fractions())
+    table = WinTable(r=tuple(r), method="recursive")
+    return kind, table, tuple(counts), StepsTable(ez=tuple(ez)), tuple(qseq)
+
+
+class _NoArithmetic(Fraction):
+    """A Fraction whose sums, differences and products raise.
+
+    The integer row proofs read only numerators and denominators, so a check
+    given these values raises exactly when some row reaches its Fraction
+    fallback.
+    """
+
+    def _refuse(self, other):
+        raise AssertionError(f"Fraction arithmetic on {self}: a row reached the fallback")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = _refuse
+    __mul__ = __rmul__ = __truediv__ = __rtruediv__ = _refuse
 
 
 HONEST_200 = solve_recursive(200)
@@ -321,3 +393,40 @@ def test_single_entry_tamper_is_caught_and_named(n, data):
     identity = check_derangement_identity(tampered, DERANGEMENTS_200)
     assert not pair.passed and pair.detail.endswith(f" at n={n}")
     assert not identity.passed and identity.detail.endswith(f" (n={n})")
+
+
+@settings(deadline=None)
+@given(_row_check_inputs())
+def test_integer_row_proofs_equal_the_fraction_loops(inputs):
+    kind, table, counts, steps, qseq = inputs
+    pairs = [
+        (check_derangement_identity(table, counts),
+         derangement_identity_cross_multiplied(table, counts)),
+        (check_telescoping_differences(table), telescoping_differences_by_fractions(table)),
+        (check_q_recursion(qseq), q_recursion_by_fractions(qseq)),
+        (check_steps_vs_q(steps, qseq), steps_vs_q_by_fractions(steps, qseq)),
+    ]
+    for result, line in pairs:
+        assert str(result) == line
+    if kind != "tamper":
+        shifted = kind == "shifted"  # fails only at 1 - R_0 = -1/p
+        assert [result.passed for result, _ in pairs] == [not shifted, True, True, True]
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 60, 400])
+def test_honest_rows_never_reach_the_fraction_fallback(n_max):
+    def sealed(values):
+        return tuple(map(_NoArithmetic, values))
+
+    table = WinTable(r=sealed(solve_recursive(n_max).r), method="recursive")
+    steps = StepsTable(ez=sealed(expected_steps(n_max).ez))
+    qseq = sealed(q_sequence(n_max))
+    results = [
+        check_derangement_identity(table, derangements(n_max)),
+        check_telescoping_differences(table),
+        check_q_recursion(qseq),
+        check_steps_vs_q(steps, qseq),
+    ]
+    assert all(result.passed for result in results), [str(r) for r in results]
+    with pytest.raises(AssertionError, match="reached the fallback"):
+        check_telescoping_differences(_corrupt_table(table, 2, _NoArithmetic(1, 3)))
