@@ -8,18 +8,18 @@ behind it) can pinpoint a disagreement:
                                owner: ``WinTable`` does not enforce it)
 * ``<a>-vs-<b>``             -- the four solver paths, pairwise, exact equality
 * ``derangement-identity``   -- 1 - R_n = d_n / n! for every n (the one owner
-                               of the rules on the counts d_n), proved per
+                               of the rules on the counts d_n), decided per
                                row as n! - n!*R_n = d_n over integers
-* ``telescoping-differences``-- R_n - R_{n-1} = (-1)^(n+1)/n!, proved per row
-                               over n!-scaled integers
+* ``telescoping-differences``-- R_n - R_{n-1} = (-1)^(n+1)/n!, decided per
+                               row over n!*den(R_0)-scaled integers
 * ``oracle-win-prob``        -- game-tree D_n equals the solvers' D_n
 * ``oracle-win-prob-no-memo``-- same, with the pure cache-free tree walk
 * ``oracle-steps``           -- game-tree E(Z_n) equals the recursion's
 * ``q-recursion``            -- n*E(Q_n) = 1 - E(Q_{n-1}) with E(Q_2) = 0,
-                               proved per row over n!-scaled integers
+                               decided per row over n!-scaled integers
 * ``steps-vs-q-recursion``   -- summed-recursion differences match
                                q_sequence, proved per row over n!-scaled
-                               integers
+                               integers, with a ``Fraction`` fallback
 * ``alternating-bound``      -- |D_n - D_m| <= 1/(n+1)! for all n < m, checked
                                with an integer suffix max/min scan over one
                                common denominator that reports the same first
@@ -30,13 +30,12 @@ All equality checks run on exact rationals; only ``limit-gap`` touches
 floats, and it compares them exactly after lifting back to rationals.
 
 ``derangement-identity``, ``telescoping-differences``, ``q-recursion`` and
-``steps-vs-q-recursion`` prove each row over integers. Every value they
-compare has a denominator dividing n! when the inputs are honest, so each
-value is scaled to its row's factorial with one ``divmod`` and the row
-becomes an integer equality, e.g. n!*E(Z_n) - n*((n-1)!*E(Z_{n-1})) =
-n!*E(Q_n). A row whose denominators do not divide n!, or whose integers
-disagree, is decided by the same exact ``Fraction`` expression that writes
-its failure detail, so verdicts and details do not depend on the shortcut.
+``steps-vs-q-recursion`` scale each value to its row's factorial with one
+``divmod``, so each row is an integer equality, e.g. n!*E(Z_n) -
+n*((n-1)!*E(Z_{n-1})) = n!*E(Q_n). In the first three a value that passes
+its row always scales, so the integer proof decides alone and ``Fraction``
+arithmetic only writes the failure detail; ``steps-vs-q-recursion`` decides
+a row that does not scale by the exact ``Fraction`` difference.
 """
 
 from __future__ import annotations
@@ -89,9 +88,9 @@ def _fail(check_id: str, detail: str) -> CheckResult:
 def _times(fact: int, value: Fraction) -> int | None:
     """fact*value as an integer, or None when value's denominator does not divide fact.
 
-    For an honest row the quotient fact/denominator is small, so this costs
-    one cheap division and one small-by-big product, where a ``Fraction``
-    sum or difference would take a gcd on numbers the size of fact.
+    One division and one small-by-big product for an honest row, where a
+    ``Fraction`` difference takes a gcd on numbers the size of fact. None
+    fails the row except in ``steps-vs-q-recursion``.
     """
     quotient, remainder = divmod(fact, value.denominator)
     return None if remainder else value.numerator * quotient
@@ -122,9 +121,9 @@ def check_derangement_identity(table: WinTable, counts: tuple[int, ...]) -> Chec
     """1 - R_n must equal d_n/n! exactly for every n in the table.
 
     ``counts`` is (d_0, ..., d_{n_max}) from ``derangements``; a wrong or
-    negative count fails here, naming n. Each row is proved over integers,
-    n! - n!*R_n = d_n; a row that proof does not settle is decided by
-    comparing 1 - R_n with ``Fraction(d_n, n!)``.
+    negative count fails here, naming n. Each row is decided over integers,
+    n! - n!*R_n = d_n. An R_n whose denominator does not divide n! fails:
+    1 - R_n keeps that denominator, while d_n/n! reduces to one dividing n!.
     """
     if table.n_max != len(counts) - 1:
         return _fail(
@@ -136,35 +135,33 @@ def check_derangement_identity(table: WinTable, counts: tuple[int, ...]) -> Chec
         fact *= max(n, 1)
         scaled = _times(fact, value)
         if scaled is None or fact - scaled != d_n:
-            expected = Fraction(d_n, fact)
-            if table.d(n) != expected:
-                return _fail(
-                    "derangement-identity",
-                    f"1 - R_{n} = {table.d(n)} but d_{n}/{n}! = {expected} (n={n})",
-                )
+            return _fail(
+                "derangement-identity",
+                f"1 - R_{n} = {table.d(n)} but d_{n}/{n}! = {Fraction(d_n, fact)} (n={n})",
+            )
     return _ok("derangement-identity")
 
 
 def check_telescoping_differences(table: WinTable) -> CheckResult:
     """R_n - R_{n-1} = (-1)^(n+1)/n! exactly, for n >= 1.
 
-    Each row is proved over integers, n!*R_n - n*((n-1)!*R_{n-1}) =
-    (-1)^(n+1); a row that proof does not settle is decided by the
-    ``Fraction`` difference.
+    Each row is decided over integers scaled by n!*q, q = den(R_0):
+    n!*q*R_n - n*((n-1)!*q*R_{n-1}) = (-1)^(n+1)*q. A table whose rows up to
+    n hold is R_0 plus fixed sums of +-1/k!, so its R_n scales: one that does
+    not fails. An honest table has q = 1.
     """
-    fact = 1  # n!
-    before = _times(1, table.r[0])  # (n-1)!*R_{n-1}
+    fact = q = table.r[0].denominator  # n!*q
+    before = table.r[0].numerator  # (n-1)!*q*R_{n-1}
     for n in range(1, table.n_max + 1):
         fact *= n
+        step = q if n % 2 else -q
         scaled = _times(fact, table.r[n])
-        if None in (before, scaled) or scaled - n * before != (1 if n % 2 else -1):
-            expected = Fraction((-1) ** (n + 1), fact)
-            if table.r[n] - table.r[n - 1] != expected:
-                return _fail(
-                    "telescoping-differences",
-                    f"R_{n} - R_{n - 1} = {table.r[n] - table.r[n - 1]}, "
-                    f"expected {expected} (n={n})",
-                )
+        if scaled is None or scaled - n * before != step:
+            return _fail(
+                "telescoping-differences",
+                f"R_{n} - R_{n - 1} = {table.r[n] - table.r[n - 1]}, "
+                f"expected {Fraction(step, fact)} (n={n})",
+            )
         before = scaled
     return _ok("telescoping-differences")
 
@@ -196,9 +193,9 @@ def check_oracle_steps(steps: StepsTable, oracle_max: int) -> CheckResult:
 def check_q_recursion(qseq: tuple[Fraction, ...]) -> CheckResult:
     """The first-order identity on the sequence produced by q_sequence.
 
-    Each row is proved over integers,
-    n*(n!*E(Q_n)) = n! - n*((n-1)!*E(Q_{n-1})); a row that proof does not
-    settle is decided in ``Fraction`` arithmetic.
+    Each row is decided over integers, n*(n!*E(Q_n)) = n! -
+    n*((n-1)!*E(Q_{n-1})). The rows before n fix E(Q_{n-1}) over (n-1)!, so a
+    passing E(Q_n) = (1 - E(Q_{n-1}))/n scales to n!: one that does not fails.
     """
     if not qseq:
         return _fail("q-recursion", "no E(Q_2), expected 0 (n=2)")
@@ -210,13 +207,12 @@ def check_q_recursion(qseq: tuple[Fraction, ...]) -> CheckResult:
         n = i + 2
         fact *= n
         scaled = _times(fact, qseq[i])
-        if None in (before, scaled) or n * scaled != fact - n * before:
-            if n * qseq[i] != 1 - qseq[i - 1]:
-                return _fail(
-                    "q-recursion",
-                    f"{n}*E(Q_{n}) = {n * qseq[i]} but 1 - E(Q_{n - 1}) = "
-                    f"{1 - qseq[i - 1]} (n={n})",
-                )
+        if scaled is None or n * scaled != fact - n * before:
+            return _fail(
+                "q-recursion",
+                f"{n}*E(Q_{n}) = {n * qseq[i]} but 1 - E(Q_{n - 1}) = "
+                f"{1 - qseq[i - 1]} (n={n})",
+            )
         before = scaled
     return _ok("q-recursion")
 
@@ -226,7 +222,11 @@ def check_steps_vs_q(steps: StepsTable, qseq: tuple[Fraction, ...]) -> CheckResu
 
     Each row is proved over integers, n!*E(Z_n) - n*((n-1)!*E(Z_{n-1})) =
     n!*E(Q_n); a row that proof does not settle is decided by
-    ``StepsTable.eq_at``'s ``Fraction`` difference.
+    ``StepsTable.eq_at``'s ``Fraction`` difference. This check keeps that
+    fallback because E(Q_n) is an input that may carry any denominator while
+    every row holds. Growing the scale by each foreign denominator instead
+    was about 50 times slower at n_max 400 when each E(Z_n) carried its own
+    256-bit prime: the lcm of them all grows with their product.
     """
     if steps.n_max != len(qseq) + 1:
         return _fail(

@@ -13,8 +13,8 @@ convolution that ``gf_table`` takes as a running sum, and the scan over
 every pair for the alternating bound. ``gf_running_sum_over_n_max_factorial``
 reduces every coefficient over n_max!, where ``gf_table`` first divides out
 n_max!/k!, and the four ``*_by_fractions`` / ``*_cross_multiplied`` checks
-decide every row the way ``verify`` decides only the rows its integer proof
-does not settle. ``closed_form_from_scratch`` sums
+decide every row in ``Fraction`` arithmetic, where ``verify`` decides rows
+over n!-scaled integers. ``closed_form_from_scratch`` sums
 the closed form afresh for each n over integers, from k = n down to 0, and
 pins the package's one Horner pass. ``oracle_walk_per_branch`` is the
 game-tree walk that weights each branch by 1/pile as it adds it, and

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, given, settings
@@ -156,29 +157,46 @@ _PRIMES_ABOVE_N_MAX = (83, 2**31 - 1, 2**61 - 1)
 
 @st.composite
 def _row_check_inputs(draw):
-    """(kind, table, counts, steps, qseq) for one n_max, honest, tampered or shifted.
+    """(kind, table, counts, steps, qseq) for one n_max: honest, tampered,
+    shifted, offset or with a foreign E(Q_n).
 
     A tamper replaces one entry: an R_n, E(Z_n) or E(Q_n) by an arbitrary
     fraction (kept valid for its table), or a count d_n by an arbitrary
     integer. The shift adds 1/p, for a prime p > n_max, to every R_n and
-    every E(Z_n): no denominator then divides n!, so every row goes to the
-    Fraction fallback, yet the differences, and with them
+    every E(Z_n): no denominator then divides n!, so every steps-vs-q row
+    goes to the Fraction fallback, yet the differences, and with them
     ``telescoping-differences`` and ``steps-vs-q-recursion``, are unchanged.
     R_1 + 1/p lies above 1 and E(Z_1) + 1/p is not 1, so those tables are
-    built without their range checks. E(Q_n) is not shifted, because the
-    recursion and E(Q_2) = 0 leave no other sequence that passes.
+    built without their range checks. The offset adds an arbitrary nonzero
+    fraction c to every R_n, again without the range checks: telescoping
+    still passes, and derangement-identity fails at 1 - R_0 = 1 - c. A
+    foreign E(Q_n), n >= 3, gets + 1/p, the later E(Q) follow the
+    recursion from it, and E(Z) is summed from them into a validated
+    table: q-recursion fails at that n, and steps-vs-q passes through its
+    fallback.
     """
     n_max = draw(st.integers(2, 80))
     r = list(solve_recursive(n_max).r)
     counts = list(derangements(n_max))
     ez = list(expected_steps(n_max).ez)
     qseq = list(q_sequence(n_max))
-    kind = draw(st.sampled_from(("honest", "tamper", "shifted")))
+    kind = draw(st.sampled_from(("honest", "tamper", "shifted", "offset", "foreign_q")))
     if kind == "shifted":
         shift = Fraction(1, draw(st.sampled_from(_PRIMES_ABOVE_N_MAX)))
         table = _unvalidated(WinTable, r=tuple(v + shift for v in r), method="recursive")
         steps = _unvalidated(StepsTable, ez=tuple(v + shift for v in ez))
         return kind, table, tuple(counts), steps, tuple(qseq)
+    if kind == "offset":
+        offset = draw(st.fractions().filter(bool))
+        table = _unvalidated(WinTable, r=tuple(v + offset for v in r), method="recursive")
+        return kind, table, tuple(counts), StepsTable(ez=tuple(ez)), tuple(qseq)
+    if kind == "foreign_q":
+        assume(n_max >= 3)
+        i = draw(st.integers(1, n_max - 2))  # E(Q_n) for n = i + 2
+        qseq[i] += Fraction(1, draw(st.sampled_from(_PRIMES_ABOVE_N_MAX)))
+        for j in range(i + 1, len(qseq)):
+            qseq[j] = (1 - qseq[j - 1]) / (j + 2)
+        ez = list(accumulate(qseq, initial=Fraction(1)))
     if kind == "tamper":
         target = draw(st.sampled_from(("r", "counts", "ez", "qseq")))
         if target == "r":
@@ -409,8 +427,14 @@ def test_integer_row_proofs_equal_the_fraction_loops(inputs):
     for result, line in pairs:
         assert str(result) == line
     if kind != "tamper":
-        shifted = kind == "shifted"  # fails only at 1 - R_0 = -1/p
-        assert [result.passed for result, _ in pairs] == [not shifted, True, True, True]
+        moved = kind in ("shifted", "offset")  # fails only at 1 - R_0 = 1 - c
+        foreign = kind == "foreign_q"
+        assert [result.passed for result, _ in pairs] == [not moved, True, not foreign, True]
+    if kind in ("shifted", "offset"):
+        assert pairs[0][0].detail.endswith("(n=0)")
+    if kind == "foreign_q":
+        n = next(n for n, (a, b) in enumerate(zip(qseq, q_sequence(steps.n_max)), 2) if a != b)
+        assert pairs[2][0].detail.endswith(f"(n={n})")
 
 
 @pytest.mark.parametrize("n_max", [2, 3, 60, 400])
@@ -428,5 +452,10 @@ def test_honest_rows_never_reach_the_fraction_fallback(n_max):
         check_steps_vs_q(steps, qseq),
     ]
     assert all(result.passed for result in results), [str(r) for r in results]
+    offset = Fraction(1, 2**61 - 1)
+    shifted = _unvalidated(
+        WinTable, r=sealed(v + offset for v in solve_recursive(n_max).r), method="recursive"
+    )
+    assert check_telescoping_differences(shifted).passed
     with pytest.raises(AssertionError, match="reached the fallback"):
         check_telescoping_differences(_corrupt_table(table, 2, _NoArithmetic(1, 3)))
