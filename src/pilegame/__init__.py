@@ -28,8 +28,8 @@ _MODULES = {
     ),
     "rng": ("Xoshiro256StarStar", "expand_seed", "splitmix64"),
     "simulate": (
-        "Z_BY_LEVEL", "GameTranscript", "Move", "SimResult", "TrialSums", "play_game",
-        "run_trial_sums", "run_trials", "wilson_interval",
+        "Z_BY_LEVEL", "GameOutcome", "SimResult", "TrialSums", "play_game", "run_trial_sums",
+        "run_trials", "wilson_interval",
     ),
     "steps": ("StepsTable", "expected_steps", "q_sequence"),
     "verify": ("CheckResult", "run_checks"),

@@ -30,11 +30,11 @@ def _lazy(name: str):
     A command that calls none of them never loads the simulator, the steps
     recursion or the checks. The commands look these names up in the
     module's globals, as they do the exact functions imported above, so
-    replacing ``pilegame.cli.<name>`` observes or replaces every call. The
-    library owns every rule on its arguments and the CLI restates none; a
-    command calls these before it writes to stdout. Trade-off: a table
-    constructor's ``ValueError`` inside ``run_checks``, which only a solver
-    fault raises (``verify``'s tests guard that), would also exit 2.
+    replacing ``pilegame.cli.<name>`` observes or replaces every call.
+    The CLI checks option types and the ranges ``--help`` shows; the library
+    owns every other rule, checked before a command writes to stdout.
+    Trade-off: a table constructor's ``ValueError`` in ``run_checks``, which
+    only a solver fault raises (``verify``'s tests guard that), also exits 2.
     """
 
     def forward(*args, **kwargs):

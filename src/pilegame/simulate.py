@@ -50,25 +50,16 @@ Z_BY_LEVEL = {
 _INLINE_WORK_LIMIT = 400_000
 
 
-class Move(NamedTuple):
-    player: str  # "R" or "D"
-    removed: int
-    remaining: int
+class GameOutcome(NamedTuple):
+    """One playout's result: who emptied the pile, and how many moves R made."""
 
-
-@dataclass(frozen=True)
-class GameTranscript:
-    """One complete playout: every move, the winner, and the R-move count."""
-
-    initial_n: int
-    moves: tuple[Move, ...]
-    winner: str
+    winner: str  # "R" or "D"
     r_steps: int
 
 
 @dataclass(frozen=True)
 class TrialSums:
-    """Mergeable tallies over a batch of games (addition is the merge)."""
+    """Tallies over a batch of games; ``_merged`` adds them elementwise."""
 
     d_wins: int
     steps_sum: int
@@ -100,7 +91,7 @@ class SimResult:
             )
 
 
-def play_game(n: int, rng) -> GameTranscript:
+def play_game(n: int, rng) -> GameOutcome:
     """Play one game from a pile of ``n`` counters.
 
     The random player moves first, drawing its removal via ``rng.draw(pile)``
@@ -112,27 +103,20 @@ def play_game(n: int, rng) -> GameTranscript:
         rng: Any object with a ``draw(m) -> int in 1..m`` method.
 
     Returns:
-        The full transcript, including the per-move pile sizes.
+        The winner and the number of moves the random player made.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    moves = []
     pile = n
     r_steps = 0
     while True:
-        k = rng.draw(pile)
-        pile -= k
+        pile -= rng.draw(pile)
         r_steps += 1
-        moves.append(Move("R", k, pile))
         if pile == 0:
-            winner = "R"
-            break
+            return GameOutcome("R", r_steps)
         pile -= 1
-        moves.append(Move("D", 1, pile))
         if pile == 0:
-            winner = "D"
-            break
-    return GameTranscript(initial_n=n, moves=tuple(moves), winner=winner, r_steps=r_steps)
+            return GameOutcome("D", r_steps)
 
 
 @cache

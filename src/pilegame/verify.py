@@ -41,6 +41,7 @@ a row that does not scale by the exact ``Fraction`` difference.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
@@ -313,28 +314,37 @@ def run_checks(n_max: int = 200, oracle_max: int = 12) -> list[CheckResult]:
     if oracle_max > n_max:
         raise ValueError(f"oracle_max ({oracle_max}) must not exceed n_max ({n_max})")
 
-    # Each route is called by name, never through ``exact.solve``, so the
-    # four tables stay independent computations.
-    recursive = solve_recursive(n_max)
-    tables = (recursive, solve_telescoping(n_max), closed_form_table(n_max), gf_table(n_max))
-    counts = derangements(n_max)
-    steps = expected_steps(n_max)
-    qseq = q_sequence(n_max)
+    # A detail can print an integer past CPython's 4300-digit int-to-str limit,
+    # so it is off while the checks run (3.10.0-3.10.6 have no limit or setter).
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        # Each route is called by name, never through ``exact.solve``, so the
+        # four tables stay independent computations.
+        recursive = solve_recursive(n_max)
+        tables = (recursive, solve_telescoping(n_max), closed_form_table(n_max), gf_table(n_max))
+        counts = derangements(n_max)
+        steps = expected_steps(n_max)
+        qseq = q_sequence(n_max)
 
-    results = [check_base_cases(recursive)]
-    results.extend(
-        check_tables_equal(f"{a.method}-vs-{b.method}".replace("_", "-"), a, b)
-        for a, b in combinations(tables, 2)
-    )
-    results.append(check_derangement_identity(recursive, counts))
-    results.append(check_telescoping_differences(recursive))
-    results.append(check_oracle_win_prob(recursive, oracle_max, memoize=True))
-    results.append(
-        check_oracle_win_prob(recursive, min(oracle_max, UNMEMOIZED_MAX_N), memoize=False)
-    )
-    results.append(check_oracle_steps(steps, oracle_max))
-    results.append(check_q_recursion(qseq))
-    results.append(check_steps_vs_q(steps, qseq))
-    results.append(check_alternating_bound(recursive))
-    results.append(check_limit_gap(recursive))
-    return results
+        results = [check_base_cases(recursive)]
+        results.extend(
+            check_tables_equal(f"{a.method}-vs-{b.method}".replace("_", "-"), a, b)
+            for a, b in combinations(tables, 2)
+        )
+        results.append(check_derangement_identity(recursive, counts))
+        results.append(check_telescoping_differences(recursive))
+        results.append(check_oracle_win_prob(recursive, oracle_max, memoize=True))
+        results.append(
+            check_oracle_win_prob(recursive, min(oracle_max, UNMEMOIZED_MAX_N), memoize=False)
+        )
+        results.append(check_oracle_steps(steps, oracle_max))
+        results.append(check_q_recursion(qseq))
+        results.append(check_steps_vs_q(steps, qseq))
+        results.append(check_alternating_bound(recursive))
+        results.append(check_limit_gap(recursive))
+        return results
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)

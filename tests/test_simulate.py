@@ -1,4 +1,4 @@
-"""Tests for the game simulator: transcripts, aggregation, reproducibility."""
+"""Tests for the game simulator: playouts, aggregation, reproducibility."""
 
 import concurrent.futures
 import math
@@ -15,8 +15,8 @@ from pilegame.exact import solve_recursive
 from pilegame.rng import MASK64, Xoshiro256StarStar, expand_seed
 from pilegame.simulate import (
     MAX_PILE,
-    Move,
     Z_BY_LEVEL,
+    GameOutcome,
     SimResult,
     TrialSums,
     _pool_parts,
@@ -34,40 +34,52 @@ from reference import block_by_play_game
 
 
 class ScriptedRng:
-    """Test double that replays a fixed list of draws."""
+    """Test double that replays a fixed list of draws and records each pile offered."""
 
     def __init__(self, draws):
         self._draws = list(draws)
+        self.piles = []
 
     def draw(self, m):
+        self.piles.append(m)
         k = self._draws.pop(0)
         assert 1 <= k <= m, f"scripted draw {k} illegal for pile {m}"
         return k
 
 
+class RecordingXoshiro(Xoshiro256StarStar):
+    """The scalar generator, recording each (pile, draw) pair it serves."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = []
+
+    def draw(self, m):
+        k = super().draw(m)
+        self.draws.append((m, k))
+        return k
+
+
 def test_pile_of_one_forces_random_win():
-    game = play_game(1, ScriptedRng([1]))
-    assert game.winner == "R"
-    assert game.r_steps == 1
-    assert game.moves == (Move("R", 1, 0),)
+    rng = ScriptedRng([1])
+    assert play_game(1, rng) == GameOutcome("R", 1)
+    assert rng.piles == [1]
 
 
 def test_pile_of_two_both_branches():
-    grab_all = play_game(2, ScriptedRng([2]))
-    assert grab_all.winner == "R"
-    assert grab_all.moves == (Move("R", 2, 0),)
+    grab_all = ScriptedRng([2])
+    assert play_game(2, grab_all) == GameOutcome("R", 1)
+    assert grab_all.piles == [2]
 
-    grab_one = play_game(2, ScriptedRng([1]))
-    assert grab_one.winner == "D"
-    assert grab_one.moves == (Move("R", 1, 1), Move("D", 1, 0))
-    assert grab_one.r_steps == 1
+    grab_one = ScriptedRng([1])
+    assert play_game(2, grab_one) == GameOutcome("D", 1)
+    assert grab_one.piles == [2]
 
 
 def test_pile_of_three_forced_continuation():
-    game = play_game(3, ScriptedRng([1, 1]))
-    assert game.moves == (Move("R", 1, 2), Move("D", 1, 1), Move("R", 1, 0))
-    assert game.winner == "R"
-    assert game.r_steps == 2
+    rng = ScriptedRng([1, 1])
+    assert play_game(3, rng) == GameOutcome("R", 2)
+    assert rng.piles == [3, 1]
 
 
 def test_play_game_rejects_empty_pile():
@@ -75,27 +87,22 @@ def test_play_game_rejects_empty_pile():
         play_game(0, ScriptedRng([]))
 
 
-def test_transcripts_are_legal():
-    """Every generated transcript obeys the rules, across sizes and seeds."""
+def test_playouts_obey_the_rules():
+    """R draws 1..pile, D removes one, whoever empties the pile wins and
+    r_steps counts R's draws, across sizes and seeds."""
     for n in range(1, 26):
         for seed in range(40):
-            game = play_game(n, Xoshiro256StarStar(seed * 1000 + n))
-            assert game.initial_n == n
-            pile = n
-            r_moves = 0
-            for i, move in enumerate(game.moves):
-                expected_player = "R" if i % 2 == 0 else "D"
-                assert move.player == expected_player
-                if move.player == "R":
-                    assert 1 <= move.removed <= pile
-                    r_moves += 1
-                else:
-                    assert move.removed == 1
-                assert move.remaining == pile - move.removed
-                pile = move.remaining
-            assert pile == 0
-            assert game.winner == game.moves[-1].player
-            assert game.r_steps == r_moves >= 1
+            rng = RecordingXoshiro(seed * 1000 + n)
+            game = play_game(n, rng)
+            assert rng.draws[0][0] == n
+            for (pile, k), (next_pile, _) in zip(rng.draws, rng.draws[1:]):
+                assert 1 <= k <= pile
+                assert next_pile == pile - k - 1 >= 1
+            pile, k = rng.draws[-1]
+            assert 1 <= k <= pile
+            assert pile - k in (0, 1)
+            assert game.winner == ("R" if pile - k == 0 else "D")
+            assert game.r_steps == len(rng.draws)
 
 
 def test_fast_block_matches_play_game():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 from itertools import accumulate
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pilegame.exact import WinTable, derangements, solve_recursive
+from pilegame.exact import WinTable, derangements, solve_recursive, solve_telescoping
 from pilegame.steps import StepsTable, expected_steps, q_sequence
 from pilegame.verify import (
     CheckResult,
@@ -249,6 +250,31 @@ def test_run_checks_validates_arguments():
         run_checks(n_max=200, oracle_max=15)
     with pytest.raises(ValueError):
         run_checks(n_max=10, oracle_max=12)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit to lift"
+)
+def test_run_checks_fails_a_detail_past_the_int_to_str_digit_limit(monkeypatch):
+    """A detail holding a 4400-digit integer is a FAIL line, not a ValueError
+    from CPython's default 4300-digit limit, and the limit is left as it was."""
+    def offset_telescoping(n_max):
+        table = solve_telescoping(n_max)
+        return _corrupt_table(table, 5, table.r[5] + Fraction(1, 10**4400 + 1))
+
+    monkeypatch.setattr("pilegame.verify.solve_telescoping", offset_telescoping)
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the CLI lifts it for the whole process
+    try:
+        results = run_checks(20, 0)
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(before)
+    failed = [str(r) for r in results if not r.passed]
+    assert [line.split(":")[0] for line in failed] == [
+        "FAIL recursive-vs-telescoping", "FAIL telescoping-vs-closed-form", "FAIL telescoping-vs-gf",
+    ]
+    assert all(line.endswith("at n=5") and len(line) > 4400 for line in failed)
 
 
 def test_check_result_renders_both_ways():
