@@ -18,7 +18,9 @@ from importlib import import_module
 import click
 
 from . import _EXPORTS, __version__
-from .exact import METHODS, closed_form, derangements, gap_to_limit, solve, solve_recursive
+from .exact import (
+    METHODS, _whole_ints, closed_form, derangements, gap_to_limit, solve, solve_recursive,
+)
 from .oracle import MEMOIZED_MAX_N
 from .rng import MASK64, MAX_PILE
 
@@ -102,11 +104,8 @@ def _format_option(f):
 def main() -> None:
     """Exact solvers, a seedable simulator, and cross-verification for the
     random-vs-deterministic pile game."""
-    # Exact columns such as d_n pass CPython's 4300-digit int-to-str limit
-    # from n_max = 1559 on, and a report must print them whole. Python
-    # 3.10.0-3.10.6 have neither the limit nor this setter.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    # Lifted through the subcommand's option parsing and report; restored after.
+    click.get_current_context().with_resource(_whole_ints())
 
 
 @main.command("solve")

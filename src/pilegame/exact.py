@@ -45,7 +45,9 @@ checks tolerance-free.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -61,6 +63,21 @@ FLOAT_SLACK = Fraction(1, 2**48)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+@contextlib.contextmanager
+def _whole_ints() -> Iterator[None]:
+    """Lift CPython's int-to-str digit limit for the block, then restore it.
+    d_n and n! pass its default 4300 digits from n = 1559 on, and reports and
+    check details print them whole. Python 3.10.0-3.10.6 have no limit."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 @dataclass(frozen=True)

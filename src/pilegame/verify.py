@@ -41,7 +41,6 @@ a row that does not scale by the exact ``Fraction`` difference.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
@@ -49,6 +48,7 @@ from itertools import accumulate, combinations
 from .exact import (
     FLOAT_SLACK,
     WinTable,
+    _whole_ints,
     closed_form_table,
     derangements,
     gap_to_limit,
@@ -314,12 +314,7 @@ def run_checks(n_max: int = 200, oracle_max: int = 12) -> list[CheckResult]:
     if oracle_max > n_max:
         raise ValueError(f"oracle_max ({oracle_max}) must not exceed n_max ({n_max})")
 
-    # A detail can print an integer past CPython's 4300-digit int-to-str limit,
-    # so it is off while the checks run (3.10.0-3.10.6 have no limit or setter).
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
+    with _whole_ints():  # a detail prints its integers whole
         # Each route is called by name, never through ``exact.solve``, so the
         # four tables stay independent computations.
         recursive = solve_recursive(n_max)
@@ -345,6 +340,3 @@ def run_checks(n_max: int = 200, oracle_max: int = 12) -> list[CheckResult]:
         results.append(check_alternating_bound(recursive))
         results.append(check_limit_gap(recursive))
         return results
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)

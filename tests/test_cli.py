@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 import pilegame.cli as cli
 import pilegame.verify
 from pilegame.cli import main
-from pilegame.exact import FLOAT_SLACK, METHODS, derangements, solve_recursive, solve_telescoping
+from pilegame.exact import (
+    FLOAT_SLACK, METHODS, _whole_ints, derangements, solve_recursive, solve_telescoping,
+)
 
 from reference import csv_report
 
@@ -271,15 +273,48 @@ def test_solve_large_n_max_prints_exact_columns(fmt):
     # int-to-str limit allows.
     result = _run("solve", "--n-max", "1600", "--format", fmt)
     assert result.exit_code == 0, result.output[-500:]
-    if fmt == "json":
-        last = json.loads(result.output)["rows"][-1]
-    else:
-        last = _csv_rows(result.output)[-1]
-    assert int(last["n"]) == 1600
-    d_exact = solve_recursive(1600).d(1600)
-    assert int(last["d_prob_num"]) == d_exact.numerator
-    assert int(last["d_prob_den"]) == d_exact.denominator
-    assert int(last["d_n"]) == derangements(1600)[1600]
+    with _whole_ints():
+        if fmt == "json":
+            last = json.loads(result.output)["rows"][-1]
+        else:
+            last = _csv_rows(result.output)[-1]
+        assert int(last["n"]) == 1600
+        d_exact = solve_recursive(1600).d(1600)
+        assert int(last["d_prob_num"]) == d_exact.numerator
+        assert int(last["d_prob_den"]) == d_exact.denominator
+        assert int(last["d_n"]) == derangements(1600)[1600]
+
+
+def _r5_moved(n_max):
+    """``solve_telescoping`` with R_5 moved by 10^-6."""
+    table = solve_telescoping(n_max)
+    r = list(table.r)
+    r[5] += Fraction(1, 10**6)
+    return dataclasses.replace(table, r=tuple(r))
+
+
+#: One command per exit code; only the verify that exits 1 reaches R_5.
+EXIT_PATHS = [
+    ("solve --n-max 3", 0),
+    ("verify --n-max 20 --oracle-max 4", 1),
+    ("verify --n-max 5 --oracle-max 10", 2),
+]
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit to lift"
+)
+@pytest.mark.parametrize("args, code", EXIT_PATHS)
+def test_command_leaves_the_digit_limit_as_it_found_it(args, code, monkeypatch):
+    monkeypatch.setattr(pilegame.verify, "solve_telescoping", _r5_moved)
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        result = _run(*args.split())
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert result.exit_code == code, result.output
 
 
 def test_simulate_rejects_piles_above_two_to_the_64():
@@ -349,20 +384,6 @@ def _emitted(rows):
     with contextlib.redirect_stdout(out):
         cli._emit(rows, "csv", "test")
     return out.getvalue()
-
-
-@contextlib.contextmanager
-def _whole_ints():
-    """Lift CPython's int-to-str digit limit, as the CLI's ``main`` does."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # Python 3.10 has no limit
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 _huge = st.integers(10**4300, 10**4400)

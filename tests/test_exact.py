@@ -1,6 +1,7 @@
 """Tests for the exact solver paths, derangements, and the 1/e gap."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from pilegame.exact import (
     E_INVERSE,
     WinTable,
+    _whole_ints,
     closed_form,
     closed_form_table,
     derangement_prob,
@@ -278,3 +280,28 @@ def test_negative_arguments_rejected():
             fn(-1)
     with pytest.raises(ValueError):
         closed_form(-1)
+
+
+def test_whole_ints_sets_nothing_where_there_is_no_limit(monkeypatch):
+    """Python 3.10.0-3.10.6 have neither the limit nor its setter."""
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    ran = []
+    with _whole_ints():
+        ran.append(True)
+    assert ran == [True]
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit to lift"
+)
+def test_whole_ints_restores_the_limit_when_the_block_raises():
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ZeroDivisionError), _whole_ints():
+            assert sys.get_int_max_str_digits() == 0
+            1 // 0
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(before)

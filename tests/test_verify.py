@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import pilegame.verify
 from pilegame.exact import WinTable, derangements, solve_recursive, solve_telescoping
 from pilegame.steps import StepsTable, expected_steps, q_sequence
 from pilegame.verify import (
@@ -252,6 +253,33 @@ def test_run_checks_validates_arguments():
         run_checks(n_max=10, oracle_max=12)
 
 
+#: The names in ``pilegame.verify`` that the verify-exact benchmark wraps to
+#: time ``run_checks``; its traced run fails on a span that never appears.
+WRAPPED_NAMES = [
+    "solve_recursive", "solve_telescoping", "closed_form_table", "gf_table", "derangements",
+    "gap_to_limit", "expected_steps", "q_sequence", "oracle_win_prob", "oracle_expected_steps",
+    "check_base_cases", "check_tables_equal", "check_derangement_identity",
+    "check_telescoping_differences", "check_oracle_win_prob", "check_oracle_steps",
+    "check_q_recursion", "check_steps_vs_q", "check_alternating_bound", "check_limit_gap",
+]
+
+
+def test_run_checks_calls_the_wrapped_names_through_the_verify_module(monkeypatch):
+    called = set()
+
+    def spy(name, real):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in WRAPPED_NAMES:
+        monkeypatch.setattr(pilegame.verify, name, spy(name, getattr(pilegame.verify, name)))
+    results = run_checks(20, 4)
+    assert called == set(WRAPPED_NAMES)
+    assert sum(r.passed for r in results) == 16
+
+
 @pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit to lift"
 )
@@ -264,7 +292,7 @@ def test_run_checks_fails_a_detail_past_the_int_to_str_digit_limit(monkeypatch):
 
     monkeypatch.setattr("pilegame.verify.solve_telescoping", offset_telescoping)
     before = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)  # the CLI lifts it for the whole process
+    sys.set_int_max_str_digits(4300)  # CPython's default, whatever ran before
     try:
         results = run_checks(20, 0)
         assert sys.get_int_max_str_digits() == 4300
