@@ -20,27 +20,30 @@ keeps running prefix sums of reduced Fractions; the second evaluates
 s_k = k*s_{k-1} + (-1)^k, so s_k = k! * sum_{j<=k} (-1)^j/j!; the third
 expands the generating function (1 - e^{-x})/(1 - x), where the product
 with sum_i x^i is a running sum c_k of the n_max!-scaled coefficients of
-1 - e^{-x}, each divided exactly by n_max!/k! and reduced over k!. They
-stay separate routes on purpose, each derived from its own
-formula and sharing no value with another, so that a slip in one
-accumulation is caught by the others.
+1 - e^{-x}, each divided exactly by n_max!/k! to give k! times R_k. They
+stay separate routes on purpose, each derived from its own formula and
+sharing no value with another, so that a slip in one accumulation is caught
+by the others.
 
 The closed form's s_k is the derangement count d_k, reached by the
 one-term recurrence d_k = k*d_{k-1} + (-1)^k. ``derangements`` counts with
 the two-term recurrence d_k = (k-1)(d_{k-1} + d_{k-2}) and shares no value
 with it, so the derangement identity still checks one against the other.
 
-``closed_form`` and ``gf_table`` do their inner work over integers and
-reduce each value to a ``Fraction`` once. Each builds its whole table with
-O(n_max) big-integer steps.
+``closed_form_table`` and ``gf_table`` work over integers and hand over
+their tables k!-scaled: R_k = a_k/k!, held unreduced. Each builds its whole
+table with O(n_max) big-integer steps and takes no gcd; a value becomes a
+reduced ``Fraction`` only when ``WinTable.r`` is first read, one gcd each.
+``verify`` reads the integers a_k (``WinTable.scaled``) and never ``r``
+unless a check fails and prints a value.
 
 D_n equals d_n/n! where d_n counts fixed-point-free permutations of n items,
 so the module also counts derangements, and D_n converges to 1/e with
 alternating-series rate 1/(n+1)!; ``gap_to_limit`` measures that gap.
 
-Floating point appears only in ``gap_to_limit`` output; every other result
-is a reduced ``fractions.Fraction``, which keeps all cross-method equality
-checks tolerance-free.
+Floating point appears only in ``gap_to_limit`` output; every other value
+read is a reduced ``fractions.Fraction`` or an integer, which keeps all
+cross-method equality checks tolerance-free.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from operator import mul
 from typing import Iterator
@@ -80,31 +84,99 @@ def _whole_ints() -> Iterator[None]:
             sys.set_int_max_str_digits(limit)
 
 
+def _times(fact: int, value: Fraction) -> int | None:
+    """fact*value as an integer, or None when value's denominator does not divide fact.
+
+    One division and one small-by-big product, where a ``Fraction``
+    difference takes a gcd on numbers the size of fact.
+    """
+    quotient, remainder = divmod(fact, value.denominator)
+    return None if remainder else value.numerator * quotient
+
+
+class _FactorialRow:
+    """The row of integers k!*value behind an exact table's ``Fraction`` values.
+
+    A table is built either from reduced Fractions, through its dataclass
+    constructor, or by a route from the k!-scaled integers, through
+    ``_over_factorials``, which keeps them unreduced. Each form is made from
+    the other on first read and cached on the instance: ``scaled`` with one
+    ``divmod`` per value, the Fractions with one gcd per value. Value i of
+    the table belongs to k = i + ``_FIRST``. ``dataclasses.replace`` goes
+    through the constructor, so a copy never carries the old row.
+    """
+
+    _VALUES: str  # name of the dataclass field that holds the Fractions
+    _FIRST: int  # k of the table's first value, 0 or 1
+
+    @classmethod
+    def _over_factorials(cls, scaled: tuple[int, ...], **fields):
+        """The table whose value i is scaled[i]/k!, checked by the subclass's
+        ``_check`` on the (numerator, denominator) pairs, as its constructor
+        checks the Fractions."""
+        table = object.__new__(cls)
+        for name, value in {**fields, "scaled": scaled}.items():
+            object.__setattr__(table, name, value)
+        table._check(zip(scaled, table._factorials(len(scaled))))
+        return table
+
+    def _factorials(self, count: int) -> Iterator[int]:
+        """k! for the table's first ``count`` values."""
+        return accumulate(range(self._FIRST + 1, self._FIRST + count), mul, initial=1)
+
+    def _length(self) -> int:
+        """Number of values, read from whichever form the table was built from."""
+        return len(vars(self).get(self._VALUES) or self.scaled)
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks: the Fractions of
+        # a table built by ``_over_factorials``, which are reduced here.
+        if name != self._VALUES or "scaled" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        values = tuple(map(Fraction, self.scaled, self._factorials(len(self.scaled))))
+        object.__setattr__(self, name, values)
+        return values
+
+    @cached_property
+    def scaled(self) -> tuple[int | None, ...]:
+        """k! times each value, or None where its denominator does not divide k!."""
+        values = getattr(self, self._VALUES)
+        return tuple(map(_times, self._factorials(len(values)), values))
+
+
 @dataclass(frozen=True)
-class WinTable:
+class WinTable(_FactorialRow):
     """Random-player win probabilities R_0..R_{n_max} from one solver path.
 
     Attributes:
         r: R_n indexed directly by n, each a reduced Fraction in [0, 1].
         method: Which solver produced the table (one of ``METHODS``).
+        scaled: n!*R_n indexed by n (None where R_n does not scale to n!):
+            the row ``verify`` decides on. A route builds the table from it.
     """
 
     r: tuple[Fraction, ...]
     method: str
 
+    _VALUES = "r"
+    _FIRST = 0
+
     def __post_init__(self) -> None:
         if not self.r:
             raise ValueError("r is empty; a table holds at least R_0")
+        self._check(value.as_integer_ratio() for value in self.r)
+
+    def _check(self, pairs: Iterator[tuple[int, int]]) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        for n, value in enumerate(self.r):
-            if not 0 <= value.numerator <= value.denominator:
-                raise ValueError(f"R_{n} = {value} is outside [0, 1]")
+        for n, (num, den) in enumerate(pairs):
+            if not 0 <= num <= den:
+                raise ValueError(f"R_{n} = {Fraction(num, den)} is outside [0, 1]")
 
     @property
     def n_max(self) -> int:
         """Largest pile size in the table."""
-        return len(self.r) - 1
+        return self._length() - 1
 
     def d(self, n: int) -> Fraction:
         """Deterministic player's win probability D_n = 1 - R_n."""
@@ -200,14 +272,15 @@ def closed_form(n: int) -> Fraction:
 def closed_form_table(n_max: int) -> WinTable:
     """WinTable of ``closed_form`` values R_0..R_{n_max} from one Horner pass.
 
-    The same s_k as ``closed_form``, zipped with a running k!, so the whole
-    table takes O(n_max) big-integer steps and each R_k is reduced once.
+    The same s_k as ``closed_form``, zipped with a running k!, give the
+    table k!-scaled, R_k = (k! - s_k)/k!: O(n_max) big-integer steps and no
+    gcd. Each R_k is reduced when ``r`` is first read.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     facts = accumulate(range(1, n_max + 1), mul, initial=1)
-    r = tuple(Fraction(fact - s_k, fact) for fact, s_k in zip(facts, _horner_sums(n_max)))
-    return WinTable(r=r, method="closed_form")
+    scaled = tuple(fact - s_k for fact, s_k in zip(facts, _horner_sums(n_max)))
+    return WinTable._over_factorials(scaled, method="closed_form")
 
 
 def derangements(n_max: int) -> tuple[int, ...]:
@@ -245,9 +318,9 @@ def gf_table(n_max: int) -> WinTable:
     coefficient, the running sum c_k = e_0 + ... + e_k, so one integer sum
     gives every coefficient. Every e_j with j <= k is a multiple of
     n_max!/k!, which is |e_k|, so c_k is divided by it exactly and the
-    quotient, k! times coefficient k, is reduced once as
-    ``Fraction(c_k // (n_max!/k!), k!)``: its gcd runs on numbers the size
-    of k!, not n_max!. This is the alternating sum that
+    quotient c_k // (n_max!/k!) is k! times coefficient k: the table is
+    handed over k!-scaled, with no gcd, and each R_k is reduced when ``r``
+    is first read. This is the alternating sum that
     ``solve_telescoping`` and ``closed_form`` also compute, here in a third
     arithmetic: the route derives its own series and calls no other route.
     """
@@ -262,12 +335,8 @@ def gf_table(n_max: int) -> WinTable:
         ratios[j] = term
         term *= j
     ratios[0] = term  # n_max!
-    facts = accumulate(range(1, n_max + 1), mul, initial=1)
-    r = tuple(
-        Fraction(c_k // ratio, fact)
-        for c_k, ratio, fact in zip(accumulate(exp_part), ratios, facts)
-    )
-    return WinTable(r=r, method="gf")
+    scaled = tuple(c_k // ratio for c_k, ratio in zip(accumulate(exp_part), ratios))
+    return WinTable._over_factorials(scaled, method="gf")
 
 
 _SOLVERS = {

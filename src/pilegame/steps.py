@@ -12,40 +12,54 @@ moves exactly once whichever value it draws. The difference sequence
 Q_n = Z_n - Z_{n-1} obeys the first-order recursion n*E(Q_n) = 1 - E(Q_{n-1})
 starting from E(Q_2) = 0, which ``q_sequence`` iterates independently so the
 two derivations can be cross-checked against each other.
+
+``expected_steps`` works over n!-scaled integers and hands its table over as
+t_n = n!*E(Z_n), held unreduced with no gcd taken; each E(Z_n) becomes a
+reduced ``Fraction`` only when ``StepsTable.ez`` is first read, as a report
+does. ``verify`` reads the integers (``StepsTable.scaled``). ``q_sequence``
+keeps its ``Fraction`` arithmetic, which is what keeps it a route of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
-_ONE = Fraction(1)
+from .exact import _FactorialRow
 
 
 @dataclass(frozen=True)
-class StepsTable:
+class StepsTable(_FactorialRow):
     """Exact E(Z_n) for n = 1..n_max; E(Q_n) is derived from it on read.
 
     ``ez[i]`` holds E(Z_{i+1}); use ``ez_at``/``eq_at`` to index by pile
-    size directly.
+    size directly. ``scaled[i]`` holds (i+1)!*E(Z_{i+1}), or None where that
+    is not an integer: the row ``verify`` decides on, and the one
+    ``expected_steps`` builds the table from.
     """
 
     ez: tuple[Fraction, ...]
 
+    _VALUES = "ez"
+    _FIRST = 1
+
     def __post_init__(self) -> None:
         if not self.ez:
             raise ValueError("ez is empty; a table holds at least E(Z_1)")
-        if self.ez[0] != 1:
-            raise ValueError(f"E(Z_1) must be 1, got {self.ez[0]}")
-        if self.n_max >= 2 and self.ez[1] != 1:
-            raise ValueError(f"E(Z_2) must be 1, got {self.ez[1]}")
-        if any(value.numerator < value.denominator for value in self.ez):
-            raise ValueError("every E(Z_n) is at least 1: one move always happens")
+        self._check(value.as_integer_ratio() for value in self.ez)
+
+    def _check(self, pairs: Iterator[tuple[int, int]]) -> None:
+        for n, (num, den) in enumerate(pairs, start=1):
+            if n <= 2 and num != den:
+                raise ValueError(f"E(Z_{n}) must be 1, got {Fraction(num, den)}")
+            if num < den:
+                raise ValueError("every E(Z_n) is at least 1: one move always happens")
 
     @property
     def n_max(self) -> int:
         """Largest pile size in the table."""
-        return len(self.ez)
+        return self._length()
 
     def ez_at(self, n: int) -> Fraction:
         """E(Z_n); n must be in 1..n_max."""
@@ -65,21 +79,20 @@ def expected_steps(n_max: int) -> StepsTable:
 
     Runs over n!-scaled integers, w_k = k! * (E(Z_1) + ... + E(Z_k)) and
     t_n = n! * E(Z_n) = n! + (n-1) * w_{n-2}, with w_n = n * w_{n-1} + t_n
-    from w_1 = 1, w_2 = 4: O(n_max) big-integer steps, each E(Z_n) reduced
-    once. ``StepsTable.eq_at`` takes the differences E(Q_n) on read.
+    from w_1 = 1, w_2 = 4: O(n_max) big-integer steps and no gcd. The table
+    holds t_n over n!, and each E(Z_n) is reduced when ``ez`` is first
+    read. ``StepsTable.eq_at`` takes the differences E(Q_n) on read.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    ez = [_ONE]
-    if n_max >= 2:
-        ez.append(_ONE)
+    scaled = [1, 2][:n_max]  # t_1 = 1! and t_2 = 2!: E(Z_1) = E(Z_2) = 1
     fact, w_before, w_last = 2, 1, 4  # (n-1)!, w_{n-2} and w_{n-1} entering step n
     for n in range(3, n_max + 1):
         fact *= n
         t_n = fact + (n - 1) * w_before
-        ez.append(Fraction(t_n, fact))
+        scaled.append(t_n)
         w_before, w_last = w_last, n * w_last + t_n
-    return StepsTable(ez=tuple(ez))
+    return StepsTable._over_factorials(tuple(scaled))
 
 
 def q_sequence(n_max: int) -> tuple[Fraction, ...]:

@@ -20,22 +20,29 @@ behind it) can pinpoint a disagreement:
 * ``steps-vs-q-recursion``   -- summed-recursion differences match
                                q_sequence, proved per row over n!-scaled
                                integers, with a ``Fraction`` fallback
-* ``alternating-bound``      -- |D_n - D_m| <= 1/(n+1)! for all n < m, checked
-                               with an integer suffix max/min scan over one
-                               common denominator that reports the same first
-                               (n, m) as a scan over all pairs
+* ``alternating-bound``      -- |D_n - D_m| <= 1/(n+1)! for all n < m, decided
+                               by a backward pass over the integer steps
+                               k!*(R_k - R_{k-1}), or, for a table whose R_k
+                               do not all scale to k!, by a suffix max/min
+                               scan over their common denominator; both
+                               report the same first (n, m) as a scan over
+                               all pairs
 * ``limit-gap``              -- float distance to 1/e within bound + slack
 
 All equality checks run on exact rationals; only ``limit-gap`` touches
 floats, and it compares them exactly after lifting back to rationals.
 
-``derangement-identity``, ``telescoping-differences``, ``q-recursion`` and
-``steps-vs-q-recursion`` scale each value to its row's factorial with one
-``divmod``, so each row is an integer equality, e.g. n!*E(Z_n) -
-n*((n-1)!*E(Z_{n-1})) = n!*E(Q_n). In the first three a value that passes
-its row always scales, so the integer proof decides alone and ``Fraction``
-arithmetic only writes the failure detail; ``steps-vs-q-recursion`` decides
-a row that does not scale by the exact ``Fraction`` difference.
+Every table value is read as an integer over its row's factorial: the
+tables' ``scaled`` rows, n!*R_n and n!*E(Z_n), which a route hands over as
+built and a table of ``Fraction``s makes with one ``divmod`` per value, and
+``_times`` for the E(Q_n) and the game tree's values. So the pairwise table
+checks compare integers, and each row identity is an integer equality, e.g.
+n!*E(Z_n) - n*((n-1)!*E(Z_{n-1})) = n!*E(Q_n). No value is reduced to a
+``Fraction`` unless a check fails and its detail prints it. In
+``derangement-identity``, ``telescoping-differences`` and ``q-recursion`` a
+value that passes its row always scales, so the integer proof decides alone;
+``steps-vs-q-recursion`` decides a row that does not scale by the exact
+``Fraction`` difference.
 """
 
 from __future__ import annotations
@@ -44,10 +51,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
+from operator import mul
 
 from .exact import (
     FLOAT_SLACK,
     WinTable,
+    _times,
     _whole_ints,
     closed_form_table,
     derangements,
@@ -86,17 +95,6 @@ def _fail(check_id: str, detail: str) -> CheckResult:
     return CheckResult(check_id=check_id, passed=False, detail=detail)
 
 
-def _times(fact: int, value: Fraction) -> int | None:
-    """fact*value as an integer, or None when value's denominator does not divide fact.
-
-    One division and one small-by-big product for an honest row, where a
-    ``Fraction`` difference takes a gcd on numbers the size of fact. None
-    fails the row except in ``steps-vs-q-recursion``.
-    """
-    quotient, remainder = divmod(fact, value.denominator)
-    return None if remainder else value.numerator * quotient
-
-
 def check_base_cases(table: WinTable) -> CheckResult:
     expected = {0: Fraction(0), 1: Fraction(1), 2: Fraction(1, 2)}
     for n, value in expected.items():
@@ -106,11 +104,15 @@ def check_base_cases(table: WinTable) -> CheckResult:
 
 
 def check_tables_equal(check_id: str, a: WinTable, b: WinTable) -> CheckResult:
-    """Exact elementwise equality of two solver tables."""
+    """Exact elementwise equality of two solver tables.
+
+    Compares the n!-scaled rows; only where neither R_n scales to n! are the
+    ``Fraction``s compared.
+    """
     if a.n_max != b.n_max:
         return _fail(check_id, f"table sizes differ: {a.n_max} vs {b.n_max}")
-    for n in range(a.n_max + 1):
-        if a.r[n] != b.r[n]:
+    for n, (x, y) in enumerate(zip(a.scaled, b.scaled)):
+        if x != y or (x is None and a.r[n] != b.r[n]):
             return _fail(
                 check_id,
                 f"{a.method} gives {a.r[n]} but {b.method} gives {b.r[n]} at n={n}",
@@ -132,9 +134,8 @@ def check_derangement_identity(table: WinTable, counts: tuple[int, ...]) -> Chec
             f"table sizes differ: {table.n_max} vs {len(counts) - 1}",
         )
     fact = 1  # n!
-    for n, (value, d_n) in enumerate(zip(table.r, counts)):
+    for n, (scaled, d_n) in enumerate(zip(table.scaled, counts)):
         fact *= max(n, 1)
-        scaled = _times(fact, value)
         if scaled is None or fact - scaled != d_n:
             return _fail(
                 "derangement-identity",
@@ -149,19 +150,21 @@ def check_telescoping_differences(table: WinTable) -> CheckResult:
     Each row is decided over integers scaled by n!*q, q = den(R_0):
     n!*q*R_n - n*((n-1)!*q*R_{n-1}) = (-1)^(n+1)*q. A table whose rows up to
     n hold is R_0 plus fixed sums of +-1/k!, so its R_n scales: one that does
-    not fails. An honest table has q = 1.
+    not fails. An honest table has q = 1 and reads the table's ``scaled`` row.
     """
-    fact = q = table.r[0].denominator  # n!*q
-    before = table.r[0].numerator  # (n-1)!*q*R_{n-1}
+    row = table.scaled
+    q = 1 if row[0] is not None else table.r[0].denominator
+    if q != 1:  # R_0 is not an integer: scale every R_n by n!*q instead
+        row = tuple(map(_times, (q * fact for fact in table._factorials(len(row))), table.r))
+    before = row[0]  # (n-1)!*q*R_{n-1}
     for n in range(1, table.n_max + 1):
-        fact *= n
         step = q if n % 2 else -q
-        scaled = _times(fact, table.r[n])
+        scaled = row[n]
         if scaled is None or scaled - n * before != step:
             return _fail(
                 "telescoping-differences",
                 f"R_{n} - R_{n - 1} = {table.r[n] - table.r[n - 1]}, "
-                f"expected {Fraction(step, fact)} (n={n})",
+                f"expected {Fraction(step, q * math.factorial(n))} (n={n})",
             )
         before = scaled
     return _ok("telescoping-differences")
@@ -180,9 +183,13 @@ def check_oracle_win_prob(table: WinTable, oracle_max: int, memoize: bool) -> Ch
 
 
 def check_oracle_steps(steps: StepsTable, oracle_max: int) -> CheckResult:
+    """The game tree's E(Z_n) equals the table's, compared as n!*E(Z_n)."""
+    fact = 1  # n!
     for n in range(1, min(oracle_max, steps.n_max) + 1):
+        fact *= n
         tree_value = oracle_expected_steps(n)
-        if tree_value != steps.ez_at(n):
+        scaled = steps.scaled[n - 1]
+        if _times(fact, tree_value) != scaled or (scaled is None and tree_value != steps.ez_at(n)):
             return _fail(
                 "oracle-steps",
                 f"game tree gives E(Z_{n}) = {tree_value}, "
@@ -234,11 +241,12 @@ def check_steps_vs_q(steps: StepsTable, qseq: tuple[Fraction, ...]) -> CheckResu
             "steps-vs-q-recursion",
             f"table sizes differ: {steps.n_max} vs {len(qseq) + 1}",
         )
+    row = steps.scaled
     fact = 1  # n!
-    before = _times(1, steps.ez[0])  # (n-1)!*E(Z_{n-1})
+    before = row[0]  # (n-1)!*E(Z_{n-1})
     for n, value in enumerate(qseq, start=2):
         fact *= n
-        scaled = _times(fact, steps.ez[n - 1])
+        scaled = row[n - 1]
         q_scaled = _times(fact, value)
         if None in (before, scaled, q_scaled) or scaled - n * before != q_scaled:
             if steps.eq_at(n) != value:
@@ -254,14 +262,59 @@ def check_steps_vs_q(steps: StepsTable, qseq: tuple[Fraction, ...]) -> CheckResu
 def check_alternating_bound(table: WinTable) -> CheckResult:
     """|D_n - D_m| <= 1/(n+1)! for every pair n < m, in exact arithmetic.
 
-    Each R_n is written over the table's least common denominator L as the
-    integer r_n = L*R_n. A backward pass keeps the suffix max and min of r_m
-    over m > n, so row n fails exactly when one of them lies more than
-    L/(n+1)! from r_n. L is n_max! for an honest table; for unrelated
-    denominators it grows to their product, still polynomial in the table's
-    size. Only the first failing row is rescanned, on the same integers in
-    ascending m, so the detail names the same first (n, m) as a scan over
-    all pairs.
+    Decided on the table's integer row a_k = k!*R_k through its steps
+    e_k = a_k - k*a_{k-1} = k!*(R_k - R_{k-1}), which are +-1 on an honest
+    table. P_n = (n+1)!*max_{m>n} (R_m - R_n), and N_n the same with min,
+    follow backward from X = Y = 0: P_n = e_{n+1} + X/(n+2) and
+    N_n = e_{n+1} + Y/(n+2), then X = max(0, P_n) and Y = min(0, N_n). Row n
+    fails exactly when P_n > 1 or N_n < -1. X and Y are kept as unreduced
+    integer pairs, with no gcd: on an honest table X is 0 or 1 and Y is 0 or
+    -1. On a passing table X's denominator grows only down a run of equal
+    values before a step of +1/k!, as a product of the run's n + 2. The pass
+    runs down to n = 0, so it finds the smallest failing n, and m comes from
+    an ascending scan of that row alone: the same first (n, m) as a scan
+    over all pairs, in O(n_max) big-integer steps.
+
+    A table with an R_k that does not scale to k! has no integer steps, so
+    it keeps the scan over a common denominator, exact for any
+    denominators: ``_alternating_bound_over_lcm``.
+    """
+    a = table.scaled
+    if None in a:
+        return _alternating_bound_over_lcm(table)
+    first = None
+    x_num = y_num = 0  # X = x_num/x_den >= 0 and Y = y_num/y_den <= 0
+    x_den = y_den = 1
+    for n in range(table.n_max - 1, -1, -1):
+        e = a[n + 1] - (n + 1) * a[n]
+        p_den, q_den = x_den * (n + 2), y_den * (n + 2)
+        p_num, q_num = e * p_den + x_num, e * q_den + y_num  # P_n and N_n
+        if p_num > p_den or q_num < -q_den:
+            first = n
+        x_num, x_den = (p_num, p_den) if p_num > 0 else (0, 1)
+        y_num, y_den = (q_num, q_den) if q_num < 0 else (0, 1)
+    if first is None:
+        return _ok("alternating-bound")
+    n, ms = first, range(first + 1, table.n_max + 1)
+    # With ratio = m!/n!, |R_m - R_n|*(n+1)! > 1 reads |a_m - a_n*ratio|*(n+1) > ratio.
+    m = next(
+        m for m, ratio in zip(ms, accumulate(ms, mul)) if abs(a[m] - a[n] * ratio) * (n + 1) > ratio
+    )
+    return _bound_exceeded(table, n, m)
+
+
+def _alternating_bound_over_lcm(table: WinTable) -> CheckResult:
+    """``alternating-bound`` over the table's least common denominator L.
+
+    Each R_n becomes the integer r_n = L*R_n. A backward pass keeps the
+    suffix max and min of r_m over m > n, so row n fails exactly when one of
+    them lies more than L/(n+1)! from r_n, and the first failing row alone
+    is rescanned in ascending m. This is the path for a table whose
+    denominators do not all divide k!, such as one with an R_k, k < 25,
+    moved by 10^-6 (from k = 25 on, 10^6 divides k!). L then grows with the
+    product of the unrelated denominators, which can cost far more than the
+    difference pass: about 2 s on a passing n_max 400 table whose R_k carry
+    distinct primes.
     """
     scale = math.lcm(*(value.denominator for value in table.r))  # L
     r = [value.numerator * (scale // value.denominator) for value in table.r]
@@ -273,12 +326,16 @@ def check_alternating_bound(table: WinTable) -> CheckResult:
         fact *= n + 1
         if max(hi[n + 1] - r[n], r[n] - lo[n + 1]) * fact > scale:
             m = next(m for m in range(n + 1, table.n_max + 1) if abs(r[m] - r[n]) * fact > scale)
-            return _fail(
-                "alternating-bound",
-                f"|D_{n} - D_{m}| = {abs(table.d(n) - table.d(m))} exceeds "
-                f"1/{n + 1}! = {Fraction(1, fact)} (n={n}, m={m})",
-            )
+            return _bound_exceeded(table, n, m)
     return _ok("alternating-bound")
+
+
+def _bound_exceeded(table: WinTable, n: int, m: int) -> CheckResult:
+    return _fail(
+        "alternating-bound",
+        f"|D_{n} - D_{m}| = {abs(table.d(n) - table.d(m))} exceeds "
+        f"1/{n + 1}! = {Fraction(1, math.factorial(n + 1))} (n={n}, m={m})",
+    )
 
 
 def check_limit_gap(table: WinTable) -> CheckResult:

@@ -22,14 +22,21 @@ game-tree walk that weights each branch by 1/pile as it adds it, and
 ``Fraction`` prefix sum: they pin the oracle's one division per pile and
 the steps table's n!-scaled integers. ``block_by_play_game`` plays the same
 role for the simulator's lane-generated stream, and ``csv_report`` for the
-CLI's streamed CSV writer. Tests require the package to agree with them
-exactly.
+CLI's streamed CSV writer. The ``*_reduced_once`` routes are the bodies of
+``closed_form_table``, ``gf_table`` and ``expected_steps`` from before the
+tables held k!-scaled integers: each value reduced to a ``Fraction`` as it
+is made. ``alternating_bound_over_lcm`` is the ``alternating-bound`` check
+that writes every R_n over the table's least common denominator, which
+``verify`` keeps only for tables whose values do not scale to k!. Tests
+require the package to agree with them exactly.
 """
 
 import csv
 import io
+import math
 from fractions import Fraction
 from itertools import accumulate, permutations
+from operator import mul
 
 from pilegame.cli import _csv_cell
 from pilegame.rng import Xoshiro256StarStar
@@ -302,6 +309,75 @@ def alternating_bound_by_pairs(table) -> str:
                     f"1/{n + 1}! = {bound_n} (n={n}, m={m})"
                 )
     return "PASS alternating-bound"
+
+
+def alternating_bound_over_lcm(table) -> str:
+    """The ``alternating-bound`` line from a suffix max/min scan over one common denominator.
+
+    Every R_n is written over the table's least common denominator L as the
+    integer r_n = L*R_n; row n fails when the largest or smallest r_m, m > n,
+    lies more than L/(n+1)! from r_n, and that row alone is rescanned in
+    ascending m.
+    """
+    scale = math.lcm(*(value.denominator for value in table.r))
+    r = [value.numerator * (scale // value.denominator) for value in table.r]
+    hi = list(accumulate(reversed(r), max))[::-1]
+    lo = list(accumulate(reversed(r), min))[::-1]
+    fact = 1
+    for n in range(table.n_max):
+        fact *= n + 1
+        if max(hi[n + 1] - r[n], r[n] - lo[n + 1]) * fact > scale:
+            m = next(m for m in range(n + 1, table.n_max + 1) if abs(r[m] - r[n]) * fact > scale)
+            return (
+                "FAIL alternating-bound: "
+                f"|D_{n} - D_{m}| = {abs(table.d(n) - table.d(m))} exceeds "
+                f"1/{n + 1}! = {Fraction(1, fact)} (n={n}, m={m})"
+            )
+    return "PASS alternating-bound"
+
+
+def closed_form_table_reduced_once(n_max: int) -> tuple[Fraction, ...]:
+    """R_0..R_{n_max} from one Horner pass, s_k = k*s_{k-1} + (-1)^k, each
+    reduced once as ``Fraction(k! - s_k, k!)``."""
+    r = []
+    s_k = fact = 1
+    for k in range(n_max + 1):
+        if k:
+            fact *= k
+            s_k = k * s_k - 1 if k % 2 else k * s_k + 1
+        r.append(Fraction(fact - s_k, fact))
+    return tuple(r)
+
+
+def gf_table_reduced_once(n_max: int) -> tuple[Fraction, ...]:
+    """Coefficients 0..n_max of (sum_i x^i) * (1 - sum_j (-x)^j/j!), each
+    reduced once as ``Fraction(c_k // (n_max!/k!), k!)`` from the running sum c_k."""
+    exp_part = [0] * (n_max + 1)
+    ratios = [0] * (n_max + 1)
+    term = 1  # n_max!/j!, starting at j = n_max
+    for j in range(n_max, 0, -1):
+        exp_part[j] = term if j % 2 else -term
+        ratios[j] = term
+        term *= j
+    ratios[0] = term  # n_max!
+    facts = accumulate(range(1, n_max + 1), mul, initial=1)
+    return tuple(
+        Fraction(c_k // ratio, fact)
+        for c_k, ratio, fact in zip(accumulate(exp_part), ratios, facts)
+    )
+
+
+def expected_steps_reduced_once(n_max: int) -> tuple[Fraction, ...]:
+    """E(Z_1)..E(Z_{n_max}) from the n!-scaled summed recursion, each
+    reduced once as ``Fraction(t_n, n!)``."""
+    ez = [Fraction(1)] * min(n_max, 2)
+    fact, w_before, w_last = 2, 1, 4  # (n-1)!, w_{n-2} and w_{n-1} entering step n
+    for n in range(3, n_max + 1):
+        fact *= n
+        t_n = fact + (n - 1) * w_before
+        ez.append(Fraction(t_n, fact))
+        w_before, w_last = w_last, n * w_last + t_n
+    return tuple(ez)
 
 
 def oracle_walk_per_branch(n: int, memoize: bool = True) -> tuple[Fraction, Fraction]:

@@ -3,6 +3,8 @@
 import math
 import sys
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from pilegame.exact import (
     E_INVERSE,
     WinTable,
+    _times,
     _whole_ints,
     closed_form,
     closed_form_table,
@@ -29,9 +32,11 @@ from reference import (
     D10_PROB_REDUCED,
     closed_form_by_terms,
     closed_form_from_scratch,
+    closed_form_table_reduced_once,
     gf_coefficients_by_convolution,
     gf_coefficients_by_terms,
     gf_running_sum_over_n_max_factorial,
+    gf_table_reduced_once,
 )
 
 
@@ -153,6 +158,24 @@ def test_gf_table_equals_the_running_sum_over_n_max_factorial(n_max):
     assert gf_table(n_max).r == gf_running_sum_over_n_max_factorial(n_max)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 300))
+def test_integer_routes_hand_over_the_scaled_row_and_reduce_on_read(n_max):
+    """closed form and gf hold k!*R_k, equal to the recursion's scaled by one
+    division, and reduce only when ``r`` is read, to the reduce-once values."""
+    recursive_row = tuple(
+        map(_times, accumulate(range(1, n_max + 1), mul, initial=1), solve_recursive(n_max).r)
+    )
+    for route, reduced_once in (
+        (closed_form_table, closed_form_table_reduced_once),
+        (gf_table, gf_table_reduced_once),
+    ):
+        table = route(n_max)
+        assert table.scaled == recursive_row, route.__name__
+        assert "r" not in vars(table), route.__name__
+        assert table.r == reduced_once(n_max), route.__name__
+
+
 def test_all_routes_equal_recursive_at_n_max_1000():
     reference = solve_recursive(1000)
     for route in (solve_telescoping, closed_form_table, gf_table):
@@ -257,6 +280,13 @@ def test_win_table_rejects_bad_contents():
     with pytest.raises(ValueError):
         WinTable(r=(Fraction(0), Fraction(2), Fraction(1, 2)),
                  method="recursive")  # outside [0, 1]
+
+
+def test_route_built_tables_check_their_range_on_the_integers():
+    with pytest.raises(ValueError, match=r"^R_3 = 7/6 is outside \[0, 1\]$"):
+        WinTable._over_factorials((0, 1, 1, 7, 15), method="gf")
+    with pytest.raises(ValueError, match=r"^unknown method 'horoscope'$"):
+        WinTable._over_factorials((0, 1, 1), method="horoscope")
 
 
 def test_tables_reject_empty_tuples():

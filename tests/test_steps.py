@@ -1,13 +1,21 @@
 """Tests for the expected random-player move counts."""
 
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pilegame.exact import _times
 from pilegame.steps import StepsTable, expected_steps, q_sequence
-from reference import BRUTE_EQ, BRUTE_EZ, expected_steps_by_fractions
+from reference import (
+    BRUTE_EQ,
+    BRUTE_EZ,
+    expected_steps_by_fractions,
+    expected_steps_reduced_once,
+)
 
 
 def test_base_cases():
@@ -40,6 +48,25 @@ def test_matches_fraction_prefix_sums(n_max):
 @given(st.integers(1, 600))
 def test_matches_fraction_prefix_sums_for_any_n_max(n_max):
     assert expected_steps(n_max).ez == expected_steps_by_fractions(n_max)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 300))
+def test_table_holds_the_scaled_values_and_reduces_on_read(n_max):
+    """The table holds n!*E(Z_n), equal to the Fraction prefix sums' scaled
+    by one division, and reduces only when ``ez`` is read."""
+    table = expected_steps(n_max)
+    factorials = accumulate(range(1, n_max + 1), mul)
+    assert table.scaled == tuple(map(_times, factorials, expected_steps_by_fractions(n_max)))
+    assert "ez" not in vars(table)
+    assert table.ez == expected_steps_reduced_once(n_max)
+
+
+def test_route_built_table_checks_its_values_on_the_integers():
+    with pytest.raises(ValueError, match=r"^E\(Z_2\) must be 1, got 3/2$"):
+        StepsTable._over_factorials((1, 3))
+    with pytest.raises(ValueError, match=r"^every E\(Z_n\) is at least 1"):
+        StepsTable._over_factorials((1, 2, 5))
 
 
 def test_known_values():

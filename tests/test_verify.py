@@ -11,7 +11,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pilegame.verify
-from pilegame.exact import WinTable, derangements, solve_recursive, solve_telescoping
+from pilegame.exact import (
+    WinTable,
+    closed_form_table,
+    derangements,
+    gf_table,
+    solve_recursive,
+    solve_telescoping,
+)
 from pilegame.steps import StepsTable, expected_steps, q_sequence
 from pilegame.verify import (
     CheckResult,
@@ -29,6 +36,7 @@ from pilegame.verify import (
 )
 from reference import (
     alternating_bound_by_pairs,
+    alternating_bound_over_lcm,
     derangement_identity_cross_multiplied,
     q_recursion_by_fractions,
     steps_vs_q_by_fractions,
@@ -101,6 +109,65 @@ def _tampered_tables(draw):
                 edge = Fraction(1, math.factorial(min(n, m) + 1))
                 r[n] = _nudged(r[m], draw(st.sampled_from((edge, -edge))))
     return dataclasses.replace(honest, r=tuple(r))
+
+
+@st.composite
+def _scaled_tampers(draw):
+    """solve_recursive(n_max) with 1-3 of its k!-scaled values a_k = k!*R_k
+    changed, every R_k still a multiple of 1/k! in [0, 1].
+
+    An a_k is redrawn anywhere in 0..k!, moved by a few units, or set to
+    k*a_{k-1} so that R_k = R_{k-1}. The table is built from the integers,
+    as a route builds one, or from the same values as Fractions.
+    """
+    row = list(solve_recursive(draw(st.integers(2, 60))).scaled)
+    for k in draw(st.lists(st.integers(1, len(row) - 1), min_size=1, max_size=3)):
+        fact = math.factorial(k)
+        kind = draw(st.sampled_from(("redraw", "nudge", "plateau")))
+        if kind == "redraw":
+            row[k] = draw(st.integers(0, fact))
+        elif kind == "nudge":
+            row[k] = min(max(row[k] + draw(st.integers(-3, 3)), 0), fact)
+        else:
+            row[k] = k * row[k - 1]
+    if draw(st.booleans()):
+        return WinTable._over_factorials(tuple(row), method="recursive")
+    r = (Fraction(a, math.factorial(k)) for k, a in enumerate(row))
+    return WinTable(r=tuple(r), method="recursive")
+
+
+@st.composite
+def _alternating_bound_inputs(draw):
+    """(family, table) for the alternating-bound property.
+
+    ``honest``: a route's table. ``scaled``: a tamper of the k!-scaled
+    values, which keeps the difference pass. ``offset``: an honest or scaled
+    tamper with a nonzero constant added to every R_n (built without the
+    range checks), an integer one keeping the difference pass and any other
+    taking the fallback. ``foreign``: a ``_tampered_tables`` table with one
+    R_n moved by 1/p, p a prime above n_max + 1, so R_n does not scale to
+    n! and the table takes the fallback.
+    """
+    family = draw(st.sampled_from(("honest", "scaled", "offset", "foreign")))
+    if family == "honest":
+        routes = (solve_recursive, solve_telescoping, closed_form_table, gf_table)
+        return family, draw(st.sampled_from(routes))(draw(st.integers(2, 60)))
+    if family == "scaled":
+        return family, draw(_scaled_tampers())
+    if family == "offset":
+        base = draw(_scaled_tampers() | st.integers(2, 60).map(solve_recursive))
+        offset = draw(st.integers(-2, 2).filter(bool) | st.fractions().filter(bool))
+        return family, _unvalidated(
+            WinTable, r=tuple(value + offset for value in base.r), method="recursive"
+        )
+    table = draw(_tampered_tables())
+    n = draw(st.integers(0, table.n_max))
+    shift = Fraction(1, draw(st.sampled_from(_PRIMES_ABOVE_N_MAX)))
+    r = list(table.r)
+    r[n] += shift if r[n] + shift <= 1 else -shift
+    table = dataclasses.replace(table, r=tuple(r))
+    assume(None in table.scaled)  # a drawn R_n may already carry p
+    return family, table
 
 
 def _is_probable_prime(n):
@@ -433,10 +500,143 @@ def test_steps_vs_q_fails_on_size_mismatch(steps_n_max, q_n_max):
     )
 
 
+@settings(max_examples=200, deadline=None)
+@given(_alternating_bound_inputs())
+def test_alternating_bound_matches_pair_scan(inputs):
+    """Both paths give the line of the scan over all pairs: verdict and first (n, m)."""
+    family, table = inputs
+    if family in ("honest", "scaled"):
+        assert None not in table.scaled  # the difference pass
+    if family == "foreign":
+        assert None in table.scaled  # the common-denominator fallback
+    line = alternating_bound_by_pairs(table)
+    assert str(check_alternating_bound(table)) == line == alternating_bound_over_lcm(table)
+    if family == "honest":
+        assert line == "PASS alternating-bound"
+
+
+@pytest.mark.parametrize("n_max", [3, 60, 400])
+@pytest.mark.parametrize("last_step", [1, 2])
+def test_alternating_bound_on_a_plateau_before_the_last_step(n_max, last_step):
+    """R_n = 1/2 from n = 2 to n_max - 1, then one step of last_step/n_max!.
+
+    On the difference pass X runs through 1/n_max, 1/(n_max*(n_max-1)), ...
+    down the plateau: the one kind of passing table on which its
+    denominator grows. A step of 2/n_max! breaks row n_max - 1 alone.
+    """
+    fact = math.factorial(n_max)
+    half = Fraction(1, 2)
+    table = WinTable(
+        r=(Fraction(0), Fraction(1), *[half] * (n_max - 2), half + Fraction(last_step, fact)),
+        method="recursive",
+    )
+    n, m = n_max - 1, n_max
+    line = "PASS alternating-bound" if last_step == 1 else (
+        f"FAIL alternating-bound: |D_{n} - D_{m}| = {Fraction(2, fact)} exceeds "
+        f"1/{m}! = {Fraction(1, fact)} (n={n}, m={m})"
+    )
+    assert str(check_alternating_bound(table)) == alternating_bound_over_lcm(table) == line
+    if n_max <= 60:
+        assert alternating_bound_by_pairs(table) == line
+
+
+def _win_table_lines(table):
+    """Every check that reads a WinTable, run on ``table``."""
+    n_max = table.n_max
+    recursive = solve_recursive(n_max)
+    return [str(result) for result in (
+        check_base_cases(table),
+        check_tables_equal("recursive-vs-table", recursive, table),
+        check_tables_equal("table-vs-recursive", table, recursive),
+        check_derangement_identity(table, derangements(n_max)),
+        check_telescoping_differences(table),
+        check_oracle_win_prob(table, min(n_max, 8), memoize=True),
+        check_oracle_win_prob(table, min(n_max, 8), memoize=False),
+        check_alternating_bound(table),
+        check_limit_gap(table),
+    )]
+
+
+def _steps_lines(steps):
+    qseq = q_sequence(steps.n_max)
+    return [str(check_oracle_steps(steps, min(steps.n_max, 8))), str(check_steps_vs_q(steps, qseq))]
+
+
+def _values(table):
+    """A WinTable's ``r`` or a StepsTable's ``ez``."""
+    return table.r if isinstance(table, WinTable) else table.ez
+
+
+def _replaced(table, i, value):
+    """``table`` with value i swapped for ``value`` by ``dataclasses.replace``."""
+    values = list(_values(table))
+    values[i] = value
+    return dataclasses.replace(table, **{table._VALUES: tuple(values)})
+
+
 @settings(deadline=None)
-@given(_tampered_tables())
-def test_alternating_bound_matches_pair_scan(table):
-    assert str(check_alternating_bound(table)) == alternating_bound_by_pairs(table)
+@given(
+    route=st.sampled_from((closed_form_table, gf_table, expected_steps)),
+    n_max=st.integers(3, 40),
+    data=st.data(),
+)
+def test_route_built_and_fraction_built_tables_take_one_path(route, n_max, data):
+    """A route's table and the same values rebuilt as Fractions give the same
+    line from every check: as built, with one k!-scaled value changed, and
+    after a one-value tamper by ``dataclasses.replace``."""
+    if route is expected_steps:
+        lines, rebuild, first = _steps_lines, (lambda t: StepsTable(ez=t.ez)), 1
+    else:
+        lines, rebuild, first = _win_table_lines, (lambda t: WinTable(r=t.r, method=t.method)), 0
+    built = route(n_max)
+    assert lines(built) == lines(rebuild(route(n_max)))
+
+    i = data.draw(st.integers(2 if first else 1, len(built.scaled) - 1), label="i")
+    fact = math.factorial(i + first)
+    row = list(built.scaled)
+    if first:  # n!*E(Z_n) >= n!
+        row[i] = data.draw(st.integers(fact, row[i] + fact), label="t_n")
+        moved = type(built)._over_factorials(tuple(row))
+    else:  # 0 <= k!*R_k <= k!
+        row[i] = data.draw(st.integers(0, fact), label="a_k")
+        moved = type(built)._over_factorials(tuple(row), method=built.method)
+    assert lines(moved) == lines(rebuild(moved))
+
+    value = data.draw(st.fractions(1, 3) if first else st.fractions(0, 1), label="value")
+    assert lines(_replaced(route(n_max), i, value)) == lines(_replaced(rebuild(built), i, value))
+
+
+@pytest.mark.parametrize("route, value, k", [
+    (closed_form_table, Fraction(4, 9), 7),  # R_7
+    (gf_table, Fraction(4, 9), 7),
+    (expected_steps, Fraction(13, 9), 8),  # E(Z_8)
+])
+def test_replace_on_a_route_built_table_keeps_no_stale_values(route, value, k):
+    table = route(30)
+    row, values = table.scaled, _values(table)
+    copy = _replaced(table, 7, value)
+    assert _values(copy)[7] == value and copy.scaled[7] == math.factorial(k) * value
+    assert _values(copy)[:7] + _values(copy)[8:] == values[:7] + values[8:]
+    assert copy.scaled[:7] + copy.scaled[8:] == row[:7] + row[8:]
+    assert table.scaled == row and _values(table) == _values(route(30))
+
+
+def test_run_checks_never_reduces_a_route_built_table(monkeypatch):
+    """On honest inputs no check reads the Fractions of the closed-form, gf or steps table."""
+    built = []
+
+    def keep(route):
+        def wrapper(n_max):
+            built.append(route(n_max))
+            return built[-1]
+        return wrapper
+
+    for name in ("closed_form_table", "gf_table", "expected_steps"):
+        monkeypatch.setattr(pilegame.verify, name, keep(getattr(pilegame.verify, name)))
+    assert all(result.passed for result in run_checks(200, 12))
+    assert [sorted(vars(table)) for table in built] == [
+        ["method", "scaled"], ["method", "scaled"], ["scaled"],
+    ]
 
 
 @pytest.mark.parametrize("swap", [None, 40])
