@@ -9,10 +9,12 @@ outside the range, so they are exactly uniform.
 ``Xoshiro256StarStar`` is the scalar reference. ``stream`` yields the same
 outputs faster: the generator's state update is linear over GF(2), so the
 state ``LANE_STEPS`` steps ahead is a fixed 256x256 bit matrix times the
-state. ``stream`` uses that jump to start many lanes, each on its own
-consecutive run of the stream, and steps all of them at once with one
-big-int operation per term of the step. ``_top_bytes`` is the same stream
-reduced to each output's top byte, read from the same lane batches.
+state. ``stream`` uses that jump to start up to ``MAX_LANES`` lanes, each
+on its own consecutive run of ``LANE_STEPS`` outputs, and steps all of them
+at once with one big-int operation per term of the step; a batch keeps 16
+bytes per output. ``_top_bytes`` is the same stream reduced to each
+output's top byte: its lanes sit in narrower slots, and a batch keeps one
+byte per output.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from array import array
 from functools import cache, reduce
 from itertools import chain, islice
 from operator import getitem, xor
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 MASK64 = (1 << 64) - 1
 
@@ -32,16 +34,20 @@ MAX_PILE = 1 << 64
 
 #: Outputs each lane of ``stream`` produces per batch, and so the distance
 #: of ``jump``.
-LANE_STEPS = 128
+LANE_STEPS = 512
 
-#: Lanes of the largest batch. A batch buffers 16 bytes per output (a lane
-#: sits in a 128-bit slot), so 64 lanes hold 128 KiB.
-MAX_LANES = 64
+#: Lanes of the largest batch. ``stream`` buffers 16 bytes per output (a
+#: lane's slot), so 32 lanes hold 256 KiB; ``_top_bytes`` keeps one byte
+#: per output, 16 KiB.
+MAX_LANES = 32
 
-#: One lane's slot: a 64-bit state word or output below 64 guard bits,
-#: which take the carries of ``* 5`` and ``* 9`` and the spill of shifts.
+#: Bytes of one lane's slot while it makes outputs: a 64-bit state word or
+#: output below guard bits, which take the spill of ``* 5 << 7`` (up to bit
+#: 73) and ``* 9`` (up to bit 77). ``stream`` uses 16-byte slots, so an
+#: output and its guard read as two 64-bit array items; ``_top_bytes`` 10,
+#: the fewest that hold the spill.
 _SLOT_BYTES = 16
-_SLOT_MASK = b"\xff" * 8 + b"\x00" * 8
+_TOP_SLOT_BYTES = 10
 
 #: Maps each ASCII hex digit to its value.
 _HEX_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
@@ -124,52 +130,61 @@ class Xoshiro256StarStar:
                 return v + 1
 
 
-def _pack(states: list[int]) -> list[int]:
-    """Four ints whose 128-bit slot i holds word w of the 256-bit ``states[i]``.
+def _pack(states: list[int], slot: int) -> list[int]:
+    """Four ints whose ``slot``-byte slot i holds word w of the 256-bit ``states[i]``.
 
     A 256-bit state is ``s0 | s1 << 64 | s2 << 128 | s3 << 192``.
     """
     return [
         int.from_bytes(
-            b"".join((x >> shift & MASK64).to_bytes(_SLOT_BYTES, "little") for x in states),
+            b"".join((x >> shift & MASK64).to_bytes(slot, "little") for x in states),
             "little",
         )
         for shift in (0, 64, 128, 192)
     ]
 
 
-def _unpack(packed: list[int], lanes: int) -> list[int]:
-    """The 256-bit states of the first ``lanes`` slots of ``packed``."""
+def _unpack(packed: list[int], lanes: int, slot: int) -> list[int]:
+    """The 256-bit states of the first ``lanes`` ``slot``-byte slots of ``packed``."""
     return [
-        sum((word >> 128 * i & MASK64) << 64 * w for w, word in enumerate(packed))
+        sum((word >> 8 * slot * i & MASK64) << 64 * w for w, word in enumerate(packed))
         for i in range(lanes)
     ]
 
 
-def _step_lanes(packed: list[int], lanes: int, steps: int, out: array | None = None) -> list[int]:
+def _step_lanes(
+    packed: list[int], lanes: int, steps: int, slot: int,
+    emit: Callable[[bytes], object] | None = None,
+) -> list[int]:
     """Advance every packed lane ``steps`` times; return the packed end states.
 
-    This is ``next_u64`` on all slots at once. Between steps the high word
-    of every slot is zero; the slot mask clears what a shift or product
-    carried into it, so no lane reaches its neighbour. If ``out`` is given,
-    each step appends every lane's output to it, one 128-bit slot per lane
-    with the output in the low word (the high word holds the carry of
-    ``* 9``).
+    This is ``next_u64`` on all ``slot``-byte slots at once. Every state
+    word stays below bit 64 of its slot (each shift or rotation masks the
+    bits it moves first, or the bits it brings in after), so no lane reaches
+    its neighbour, even in 8-byte slots. If ``emit`` is given (``slot`` >= 10,
+    for the outputs' spill), each step calls it with every lane's output as
+    little-endian bytes, one slot per lane with the output in the low 8 bytes.
     """
     s0, s1, s2, s3 = packed
-    mask = int.from_bytes(_SLOT_MASK * lanes, "little")
-    width = _SLOT_BYTES * lanes
+    m7, m19, m45, m47 = (
+        int.from_bytes(((1 << k) - 1).to_bytes(slot, "little") * lanes, "little")
+        for k in (7, 19, 45, 47)
+    )
+    width = slot * lanes
     for _ in range(steps):
-        if out is not None:
-            x = s1 * 5 & mask
-            out.frombytes((((x << 7 | x >> 57) & mask) * 9).to_bytes(width, "little"))
-        t = s1 << 17 & mask
+        if emit is not None:
+            # y's low word is rotl(s1 * 5 mod 2**64, 7) once the bits shifted
+            # past 64 (bits 57..63 of s1 * 5, now 64..70) are ORed back in
+            # at 0..6. What stays above bit 64 changes only the spill of * 9.
+            y = s1 * 5 << 7
+            emit(((y | y >> 64 & m7) * 9).to_bytes(width, "little"))
+        t = (s1 & m47) << 17
         s2 ^= s0
         s3 ^= s1
         s1 ^= s2
         s0 ^= s3
         s2 ^= t
-        s3 = (s3 << 45 | s3 >> 19) & mask
+        s3 = (s3 & m19) << 45 | s3 >> 19 & m45
     return [s0, s1, s2, s3]
 
 
@@ -183,7 +198,9 @@ def _jump_tables() -> tuple[tuple[int, ...], ...]:
     significant nibble, maps that nibble's value to the XOR of its columns.
     Built on first use (a few milliseconds), never at import.
     """
-    columns = _unpack(_step_lanes(_pack([1 << b for b in range(256)]), 256, LANE_STEPS), 256)
+    # With no outputs to make, nothing spills: 8-byte slots hold the lanes.
+    units = _pack([1 << b for b in range(256)], 8)
+    columns = _unpack(_step_lanes(units, 256, LANE_STEPS, 8), 256, 8)
     tables = []
     for g in reversed(range(64)):
         table = [0]
@@ -200,11 +217,11 @@ def jump(x: int) -> int:
     return reduce(xor, map(getitem, _jump_tables(), nibbles))
 
 
-def _lane_batches(state: tuple[int, int, int, int]) -> Iterator[tuple[int, array]]:
-    """``(lanes, out)`` for each batch of runs after run 0 of the stream from ``state``.
+def _lane_starts(state: tuple[int, int, int, int], slot: int) -> Iterator[tuple[int, list[int]]]:
+    """``(lanes, packed starts)`` for each batch of runs after run 0 of the stream from ``state``.
 
     Run k starts k ``jump``s from ``state``. Batches double from two lanes to
-    ``MAX_LANES``; ``out`` is what ``_step_lanes`` writes, one run per lane.
+    ``MAX_LANES``, one run per lane, so a short block makes few runs.
     """
     s0, s1, s2, s3 = state
     x = s0 | s1 << 64 | s2 << 128 | s3 << 192
@@ -214,9 +231,7 @@ def _lane_batches(state: tuple[int, int, int, int]) -> Iterator[tuple[int, array
         for _ in range(lanes):
             x = jump(x)
             starts.append(x)
-        out = array("Q")
-        _step_lanes(_pack(starts), lanes, LANE_STEPS, out)
-        yield lanes, out
+        yield lanes, _pack(starts, slot)
         lanes = min(2 * lanes, MAX_LANES)
 
 
@@ -224,7 +239,9 @@ def _lane_runs(state: tuple[int, int, int, int]) -> Iterator[Iterable[int]]:
     """Runs of ``stream(state)``; run 0 is lazy, so a short block makes only what it reads."""
     rng = Xoshiro256StarStar._from_state(state)
     yield (rng.next_u64() for _ in range(LANE_STEPS))
-    for lanes, out in _lane_batches(state):
+    for lanes, packed in _lane_starts(state, _SLOT_BYTES):
+        out = array("Q")
+        _step_lanes(packed, lanes, LANE_STEPS, _SLOT_BYTES, out.frombytes)
         if sys.byteorder == "big":
             out.byteswap()
         for i in range(0, 2 * lanes, 2):
@@ -236,15 +253,24 @@ def stream(state: tuple[int, int, int, int]) -> Iterator[int]:
 
     The same values, in the same order, as successive ``next_u64`` calls of
     a ``Xoshiro256StarStar`` in that state. The first ``LANE_STEPS`` are
-    those calls; the rest are made in lanes (see ``_lane_batches``).
+    those calls; the rest are made in lanes (see ``_lane_starts``).
     """
     return chain.from_iterable(_lane_runs(state))
 
 
+def _top_rows(lanes: int, packed: list[int]) -> bytes:
+    """Every output's top byte for one batch, in rows of ``lanes`` bytes, one row per step."""
+    rows = []
+    # Byte 7 of a little-endian slot is the top byte of its output.
+    _step_lanes(packed, lanes, LANE_STEPS, _TOP_SLOT_BYTES,
+                lambda row: rows.append(row[7::_TOP_SLOT_BYTES]))
+    return b"".join(rows)
+
+
 def _top_bytes(state: tuple[int, int, int, int]) -> Iterator[int]:
     """``out >> 56`` for every output of ``stream(state)``, in stream order."""
-    # Byte 7 of a little-endian slot is the top byte of its output.
-    tops = ((lanes, out.tobytes()[7::_SLOT_BYTES]) for lanes, out in _lane_batches(state))
+    batches = _lane_starts(state, _TOP_SLOT_BYTES)
+    tops = ((lanes, _top_rows(lanes, packed)) for lanes, packed in batches)
     runs = (top[i::lanes] for lanes, top in tops for i in range(lanes))
     # Run 0 is ``stream``'s lazy one: ``islice`` stops without asking for run 1.
     run0 = (x >> 56 for x in islice(stream(state), LANE_STEPS))

@@ -42,11 +42,13 @@ Z_BY_LEVEL = {
 #: then run inline (the partition, and hence the result, is unchanged).
 #: Work is trials times ``max(n.bit_length(), 4)``, which follows the draws
 #: per game (2.23, 4.39, 27.6 at n = 10, 100, 2**40). ``_pool_parts`` against
-#: the same two blocks inline, fresh interpreters, median of 15, 2-vCPU host,
-#: Python 3.11, pool against inline in ms: n=10 (limit 100k) at 100k/150k/200k
-#: trials 137/167/197 against 115/157/224, n=100 (limit 57k) at the same
-#: 243/285/375 against 205/297/401 (every pair's quartiles overlap, so the
-#: limit stays); n=2**40 (limit 9.8k) at 5k/10k/20k, 106/159/259 against 108/218/432.
+#: the same two blocks inline at 0.5x/1x/1.5x the limit, fresh interpreters
+#: alternating, median of 11, 2-vCPU host, Python 3.11, pool against inline
+#: in ms: n=10 (50k/100k/150k trials) 63/87/107 against 42/85/124; n=100
+#: (29k/57k/86k) 72/92/110 against 49/86/108; n=2**40 (4.9k/9.8k/14.6k)
+#: 82/129/143 against 66/132/181. At 1x every pair's quartiles overlap; in
+#: another run of 15, inline led at 1x on every pile and the pool's median
+#: only from 2x. The break-even is near the limit, so it stays.
 _INLINE_WORK_LIMIT = 400_000
 
 
@@ -134,9 +136,12 @@ def _run_block(n: int, count: int, state: tuple[int, int, int, int]) -> tuple[in
     order, so this loop consumes it exactly like ``play_game`` over a
     ``Xoshiro256StarStar`` in ``state`` (test_simulate pins that
     equivalence). A draw for pile p keeps the top bits of one output that
-    can hold p - 1 and rejects values >= p. Piles up to 256 keep at most the
-    top byte, which indexes the pile's ``_pile_table``. Returns (deterministic
-    wins, sum of R-move counts, sum of squared counts).
+    can hold p - 1 and rejects values >= p. Each accepted draw plays a whole
+    round, R's draw and D's forced move. Piles up to 256 keep at most the
+    top byte (``rng._top_bytes``), which indexes the pile's ``_pile_table``.
+    Larger piles take the draw and D's counter in one subtraction; a pile of
+    -1 or 0 then ends the game. Returns (deterministic wins, sum of R-move
+    counts, sum of squared counts).
     """
     d_wins = steps_sum = steps_sq_sum = r_steps = 0
     if count < 1:
@@ -167,13 +172,12 @@ def _run_block(n: int, count: int, state: tuple[int, int, int, int]) -> tuple[in
         v = out >> shift
         if v < pile:
             r_steps += 1
-            pile -= v + 1
-            if pile > 1:
-                pile -= 1
+            pile -= v + 2  # R's draw of v + 1, then D's one
+            if pile > 0:
                 shift = 64 - (pile - 1).bit_length()
                 continue
-            # Pile 0: R took the last counter. Pile 1: D takes it.
-            d_wins += pile
+            # Pile -1: R took the last counter. Pile 0: D took it.
+            d_wins += pile + 1
             steps_sum += r_steps
             steps_sq_sum += r_steps * r_steps
             count -= 1

@@ -368,6 +368,10 @@ GOLDEN_STDOUT = {
     "convergence --n-max 20": "a1df61fa795a6c53",
     "verify --n-max 40 --oracle-max 6": "f9b39522ccd00f75",
     "simulate --n 10 --trials 5000 --seed 42 --workers 2 --format json": "c00326c1172053ba",
+    # Inline through many full lane batches: the top-byte path, then the
+    # 64-bit one (piles above 256).
+    "simulate --n 10 --trials 200000 --seed 7": "9c5a05e218232904",
+    "simulate --n 10000 --trials 20000 --seed 7 --format json": "9dbf9ea7eea15308",
 }
 
 

@@ -1,7 +1,9 @@
 """Tests for the game simulator: playouts, aggregation, reproducibility."""
 
 import concurrent.futures
+import functools
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,13 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pilegame.exact import solve_recursive
-from pilegame.rng import MASK64, Xoshiro256StarStar, expand_seed
+from pilegame.rng import LANE_STEPS, MASK64, MAX_LANES, Xoshiro256StarStar, expand_seed
 from pilegame.simulate import (
     MAX_PILE,
     Z_BY_LEVEL,
     GameOutcome,
     SimResult,
     TrialSums,
+    _merged,
     _pool_parts,
     _run_block,
     _run_blocks,
@@ -123,14 +126,51 @@ edge_piles = st.one_of(
 )
 
 
+def _games_past_the_first_full_batch(n):
+    """Games from pile ``n`` that read past the first batch of ``MAX_LANES`` lanes.
+
+    Run 0 and batches of 2, 4, ..., ``MAX_LANES`` lanes make
+    2 * MAX_LANES - 1 runs; the games read into the run after them. A game
+    reads one output from piles 1 and 2, and about ln(n) draws from larger
+    piles, which is more than n.bit_length() / 2 outputs on average.
+    """
+    return LANE_STEPS * 2 * MAX_LANES // max(1, n.bit_length() // 2)
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=edge_piles, seed=st.integers(0, MASK64), data=st.data())
 def test_block_matches_play_game_across_batches(n, seed, data):
-    # Up to about 30 000 raw outputs: many 128-output lanes and several
-    # batches, up to and past the first one with the most lanes.
-    count = data.draw(st.integers(0, 30_000 // (1 + n.bit_length())), label="count")
+    # From no games to past the first batch with the most lanes.
+    count = data.draw(st.integers(0, _games_past_the_first_full_batch(n)), label="count")
     state = expand_seed(seed)
     assert _run_block(n, count, state) == block_by_play_game(n, count, state)
+
+
+class CountingXoshiro(Xoshiro256StarStar):
+    """The scalar generator, counting its raw outputs."""
+
+    outputs = 0
+
+    def next_u64(self):
+        self.outputs += 1
+        return super().next_u64()
+
+
+@pytest.mark.parametrize("n", [10, 256, 257, MAX_PILE])
+def test_both_paths_match_play_game_past_the_first_full_batch(n):
+    """The byte path (piles <= 256) and the int path read every growing batch
+    and the first full one, and keep matching the scalar playout."""
+    count = _games_past_the_first_full_batch(n)
+    state = expand_seed(n & MASK64)
+    rng = CountingXoshiro._from_state(state)
+    games = [play_game(n, rng) for _ in range(count)]
+    assert rng.outputs > LANE_STEPS * (2 * MAX_LANES - 1)
+    expected = (
+        sum(game.winner == "D" for game in games),
+        sum(game.r_steps for game in games),
+        sum(game.r_steps ** 2 for game in games),
+    )
+    assert _run_block(n, count, state) == expected
 
 
 def test_largest_pile_runs_and_matches_play_game():
@@ -172,6 +212,16 @@ def test_pool_with_more_blocks_than_processes_gives_the_inline_tallies():
     parts = _pool_parts(10, jobs)
     assert len(parts) == procs  # one task per process
     assert tuple(map(sum, zip(*parts))) == _run_blocks(10, jobs)
+
+
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_pool_gives_the_inline_tallies_under_every_start_method(method, monkeypatch):
+    pool = functools.partial(concurrent.futures.ProcessPoolExecutor,
+                             mp_context=multiprocessing.get_context(method))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    jobs = [(size, expand_seed(stream_seed(5, i))) for i, size in enumerate(block_sizes(3_000, 3))]
+    for n in (10, 2**40):
+        assert _merged(_pool_parts(n, jobs)) == _run_blocks(n, jobs), f"n={n}"
 
 
 def test_pool_threshold_weighs_trials_by_pile_size(monkeypatch):
