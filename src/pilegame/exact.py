@@ -84,14 +84,14 @@ def _whole_ints() -> Iterator[None]:
             sys.set_int_max_str_digits(limit)
 
 
-def _times(fact: int, value: Fraction) -> int | None:
-    """fact*value as an integer, or None when value's denominator does not divide fact.
+def _times(fact: int, value: Fraction) -> int | Fraction:
+    """fact*value exactly: an int when value's denominator divides fact, else a Fraction.
 
-    One division and one small-by-big product, where a ``Fraction``
-    difference takes a gcd on numbers the size of fact.
+    The int takes one division and one small-by-big product, where a
+    ``Fraction`` product takes a gcd on numbers the size of fact.
     """
     quotient, remainder = divmod(fact, value.denominator)
-    return None if remainder else value.numerator * quotient
+    return value * fact if remainder else value.numerator * quotient
 
 
 class _FactorialRow:
@@ -138,8 +138,9 @@ class _FactorialRow:
         return values
 
     @cached_property
-    def scaled(self) -> tuple[int | None, ...]:
-        """k! times each value, or None where its denominator does not divide k!."""
+    def scaled(self) -> tuple[int | Fraction, ...]:
+        """k! times each value, exactly: an int where its denominator divides
+        k!, as on every table a route or solver builds, else a Fraction."""
         values = getattr(self, self._VALUES)
         return tuple(map(_times, self._factorials(len(values)), values))
 
@@ -151,8 +152,8 @@ class WinTable(_FactorialRow):
     Attributes:
         r: R_n indexed directly by n, each a reduced Fraction in [0, 1].
         method: Which solver produced the table (one of ``METHODS``).
-        scaled: n!*R_n indexed by n (None where R_n does not scale to n!):
-            the row ``verify`` decides on. A route builds the table from it.
+        scaled: n!*R_n indexed by n (a Fraction where R_n does not scale to
+            n!): the row ``verify`` decides on. A route builds the table from it.
     """
 
     r: tuple[Fraction, ...]

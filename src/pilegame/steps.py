@@ -34,8 +34,8 @@ class StepsTable(_FactorialRow):
     """Exact E(Z_n) for n = 1..n_max; E(Q_n) is derived from it on read.
 
     ``ez[i]`` holds E(Z_{i+1}); use ``ez_at``/``eq_at`` to index by pile
-    size directly. ``scaled[i]`` holds (i+1)!*E(Z_{i+1}), or None where that
-    is not an integer: the row ``verify`` decides on, and the one
+    size directly. ``scaled[i]`` holds (i+1)!*E(Z_{i+1}), a Fraction where
+    that is not an integer: the row ``verify`` decides on, and the one
     ``expected_steps`` builds the table from.
     """
 

@@ -11,38 +11,34 @@ behind it) can pinpoint a disagreement:
                                of the rules on the counts d_n), decided per
                                row as n! - n!*R_n = d_n over integers
 * ``telescoping-differences``-- R_n - R_{n-1} = (-1)^(n+1)/n!, decided per
-                               row over n!*den(R_0)-scaled integers
+                               row over n!-scaled values
 * ``oracle-win-prob``        -- game-tree D_n equals the solvers' D_n
 * ``oracle-win-prob-no-memo``-- same, with the pure cache-free tree walk
 * ``oracle-steps``           -- game-tree E(Z_n) equals the recursion's
 * ``q-recursion``            -- n*E(Q_n) = 1 - E(Q_{n-1}) with E(Q_2) = 0,
-                               decided per row over n!-scaled integers
+                               decided per row over n!-scaled values
 * ``steps-vs-q-recursion``   -- summed-recursion differences match
-                               q_sequence, proved per row over n!-scaled
-                               integers, with a ``Fraction`` fallback
+                               q_sequence, decided per row over n!-scaled
+                               values
 * ``alternating-bound``      -- |D_n - D_m| <= 1/(n+1)! for all n < m, decided
-                               by a backward pass over the integer steps
-                               k!*(R_k - R_{k-1}), or, for a table whose R_k
-                               do not all scale to k!, by a suffix max/min
-                               scan over their common denominator; both
-                               report the same first (n, m) as a scan over
-                               all pairs
+                               by a backward pass over the steps
+                               k!*(R_k - R_{k-1}); it reports the same first
+                               (n, m) as a scan over all pairs
 * ``limit-gap``              -- float distance to 1/e within bound + slack
 
 All equality checks run on exact rationals; only ``limit-gap`` touches
 floats, and it compares them exactly after lifting back to rationals.
 
-Every table value is read as an integer over its row's factorial: the
-tables' ``scaled`` rows, n!*R_n and n!*E(Z_n), which a route hands over as
-built and a table of ``Fraction``s makes with one ``divmod`` per value, and
-``_times`` for the E(Q_n) and the game tree's values. So the pairwise table
-checks compare integers, and each row identity is an integer equality, e.g.
-n!*E(Z_n) - n*((n-1)!*E(Z_{n-1})) = n!*E(Q_n). No value is reduced to a
-``Fraction`` unless a check fails and its detail prints it. In
-``derangement-identity``, ``telescoping-differences`` and ``q-recursion`` a
-value that passes its row always scales, so the integer proof decides alone;
-``steps-vs-q-recursion`` decides a row that does not scale by the exact
-``Fraction`` difference.
+Every table value is read times its row's factorial: the tables' ``scaled``
+rows, n!*R_n and n!*E(Z_n), which a route hands over as built and a table of
+``Fraction``s makes with one ``divmod`` per value, and ``_times`` for the
+E(Q_n) and the game tree's values. A scaled value is an int where the
+value's denominator divides n!, as on every table ``run_checks`` builds, and
+otherwise the exact ``Fraction`` n!*value. So each check is one expression,
+the row identity itself, e.g. n!*E(Z_n) - n*((n-1)!*E(Z_{n-1})) = n!*E(Q_n),
+exact on ints and ``Fraction``s alike: on honest inputs every check runs on
+integers, and no value is reduced to a ``Fraction`` unless a check fails and
+its detail prints it.
 """
 
 from __future__ import annotations
@@ -104,15 +100,11 @@ def check_base_cases(table: WinTable) -> CheckResult:
 
 
 def check_tables_equal(check_id: str, a: WinTable, b: WinTable) -> CheckResult:
-    """Exact elementwise equality of two solver tables.
-
-    Compares the n!-scaled rows; only where neither R_n scales to n! are the
-    ``Fraction``s compared.
-    """
+    """Exact elementwise equality of two solver tables, compared as n!*R_n."""
     if a.n_max != b.n_max:
         return _fail(check_id, f"table sizes differ: {a.n_max} vs {b.n_max}")
     for n, (x, y) in enumerate(zip(a.scaled, b.scaled)):
-        if x != y or (x is None and a.r[n] != b.r[n]):
+        if x != y:
             return _fail(
                 check_id,
                 f"{a.method} gives {a.r[n]} but {b.method} gives {b.r[n]} at n={n}",
@@ -124,9 +116,8 @@ def check_derangement_identity(table: WinTable, counts: tuple[int, ...]) -> Chec
     """1 - R_n must equal d_n/n! exactly for every n in the table.
 
     ``counts`` is (d_0, ..., d_{n_max}) from ``derangements``; a wrong or
-    negative count fails here, naming n. Each row is decided over integers,
-    n! - n!*R_n = d_n. An R_n whose denominator does not divide n! fails:
-    1 - R_n keeps that denominator, while d_n/n! reduces to one dividing n!.
+    negative count fails here, naming n. Each row is decided as
+    n! - n!*R_n = d_n.
     """
     if table.n_max != len(counts) - 1:
         return _fail(
@@ -136,7 +127,7 @@ def check_derangement_identity(table: WinTable, counts: tuple[int, ...]) -> Chec
     fact = 1  # n!
     for n, (scaled, d_n) in enumerate(zip(table.scaled, counts)):
         fact *= max(n, 1)
-        if scaled is None or fact - scaled != d_n:
+        if fact - scaled != d_n:
             return _fail(
                 "derangement-identity",
                 f"1 - R_{n} = {table.d(n)} but d_{n}/{n}! = {Fraction(d_n, fact)} (n={n})",
@@ -147,26 +138,20 @@ def check_derangement_identity(table: WinTable, counts: tuple[int, ...]) -> Chec
 def check_telescoping_differences(table: WinTable) -> CheckResult:
     """R_n - R_{n-1} = (-1)^(n+1)/n! exactly, for n >= 1.
 
-    Each row is decided over integers scaled by n!*q, q = den(R_0):
-    n!*q*R_n - n*((n-1)!*q*R_{n-1}) = (-1)^(n+1)*q. A table whose rows up to
-    n hold is R_0 plus fixed sums of +-1/k!, so its R_n scales: one that does
-    not fails. An honest table has q = 1 and reads the table's ``scaled`` row.
+    Each row is decided on the table's scaled row as
+    n!*R_n - n*((n-1)!*R_{n-1}) = (-1)^(n+1), over integers on an honest
+    table. Where R_0 is not an integer the row holds ``Fraction``s, and the
+    same expression decides it.
     """
     row = table.scaled
-    q = 1 if row[0] is not None else table.r[0].denominator
-    if q != 1:  # R_0 is not an integer: scale every R_n by n!*q instead
-        row = tuple(map(_times, (q * fact for fact in table._factorials(len(row))), table.r))
-    before = row[0]  # (n-1)!*q*R_{n-1}
     for n in range(1, table.n_max + 1):
-        step = q if n % 2 else -q
-        scaled = row[n]
-        if scaled is None or scaled - n * before != step:
+        step = 1 if n % 2 else -1
+        if row[n] - n * row[n - 1] != step:
             return _fail(
                 "telescoping-differences",
                 f"R_{n} - R_{n - 1} = {table.r[n] - table.r[n - 1]}, "
-                f"expected {Fraction(step, q * math.factorial(n))} (n={n})",
+                f"expected {Fraction(step, math.factorial(n))} (n={n})",
             )
-        before = scaled
     return _ok("telescoping-differences")
 
 
@@ -188,8 +173,7 @@ def check_oracle_steps(steps: StepsTable, oracle_max: int) -> CheckResult:
     for n in range(1, min(oracle_max, steps.n_max) + 1):
         fact *= n
         tree_value = oracle_expected_steps(n)
-        scaled = steps.scaled[n - 1]
-        if _times(fact, tree_value) != scaled or (scaled is None and tree_value != steps.ez_at(n)):
+        if _times(fact, tree_value) != steps.scaled[n - 1]:
             return _fail(
                 "oracle-steps",
                 f"game tree gives E(Z_{n}) = {tree_value}, "
@@ -201,9 +185,8 @@ def check_oracle_steps(steps: StepsTable, oracle_max: int) -> CheckResult:
 def check_q_recursion(qseq: tuple[Fraction, ...]) -> CheckResult:
     """The first-order identity on the sequence produced by q_sequence.
 
-    Each row is decided over integers, n*(n!*E(Q_n)) = n! -
-    n*((n-1)!*E(Q_{n-1})). The rows before n fix E(Q_{n-1}) over (n-1)!, so a
-    passing E(Q_n) = (1 - E(Q_{n-1}))/n scales to n!: one that does not fails.
+    Each row is decided as n*(n!*E(Q_n)) = n! - n*((n-1)!*E(Q_{n-1})), over
+    integers while the rows before it hold.
     """
     if not qseq:
         return _fail("q-recursion", "no E(Q_2), expected 0 (n=2)")
@@ -215,7 +198,7 @@ def check_q_recursion(qseq: tuple[Fraction, ...]) -> CheckResult:
         n = i + 2
         fact *= n
         scaled = _times(fact, qseq[i])
-        if scaled is None or n * scaled != fact - n * before:
+        if n * scaled != fact - n * before:
             return _fail(
                 "q-recursion",
                 f"{n}*E(Q_{n}) = {n * qseq[i]} but 1 - E(Q_{n - 1}) = "
@@ -228,13 +211,10 @@ def check_q_recursion(qseq: tuple[Fraction, ...]) -> CheckResult:
 def check_steps_vs_q(steps: StepsTable, qseq: tuple[Fraction, ...]) -> CheckResult:
     """Differences of the summed recursion must match the q_sequence values.
 
-    Each row is proved over integers, n!*E(Z_n) - n*((n-1)!*E(Z_{n-1})) =
-    n!*E(Q_n); a row that proof does not settle is decided by
-    ``StepsTable.eq_at``'s ``Fraction`` difference. This check keeps that
-    fallback because E(Q_n) is an input that may carry any denominator while
-    every row holds. Growing the scale by each foreign denominator instead
-    was about 50 times slower at n_max 400 when each E(Z_n) carried its own
-    256-bit prime: the lcm of them all grows with their product.
+    Each row is decided as n!*E(Z_n) - n*((n-1)!*E(Z_{n-1})) = n!*E(Q_n),
+    over integers on honest inputs. E(Q_n) is an input that may carry any
+    denominator while every row holds; its scaled value, and the table's,
+    are then ``Fraction``s, and the same expression decides the row.
     """
     if steps.n_max != len(qseq) + 1:
         return _fail(
@@ -243,45 +223,37 @@ def check_steps_vs_q(steps: StepsTable, qseq: tuple[Fraction, ...]) -> CheckResu
         )
     row = steps.scaled
     fact = 1  # n!
-    before = row[0]  # (n-1)!*E(Z_{n-1})
     for n, value in enumerate(qseq, start=2):
         fact *= n
-        scaled = row[n - 1]
-        q_scaled = _times(fact, value)
-        if None in (before, scaled, q_scaled) or scaled - n * before != q_scaled:
-            if steps.eq_at(n) != value:
-                return _fail(
-                    "steps-vs-q-recursion",
-                    f"difference table gives E(Q_{n}) = {steps.eq_at(n)}, "
-                    f"first-order recursion gives {value} (n={n})",
-                )
-        before = scaled
+        if row[n - 1] - n * row[n - 2] != _times(fact, value):
+            return _fail(
+                "steps-vs-q-recursion",
+                f"difference table gives E(Q_{n}) = {steps.eq_at(n)}, "
+                f"first-order recursion gives {value} (n={n})",
+            )
     return _ok("steps-vs-q-recursion")
 
 
 def check_alternating_bound(table: WinTable) -> CheckResult:
     """|D_n - D_m| <= 1/(n+1)! for every pair n < m, in exact arithmetic.
 
-    Decided on the table's integer row a_k = k!*R_k through its steps
+    Decided on the table's scaled row a_k = k!*R_k through its steps
     e_k = a_k - k*a_{k-1} = k!*(R_k - R_{k-1}), which are +-1 on an honest
     table. P_n = (n+1)!*max_{m>n} (R_m - R_n), and N_n the same with min,
     follow backward from X = Y = 0: P_n = e_{n+1} + X/(n+2) and
     N_n = e_{n+1} + Y/(n+2), then X = max(0, P_n) and Y = min(0, N_n). Row n
     fails exactly when P_n > 1 or N_n < -1. X and Y are kept as unreduced
-    integer pairs, with no gcd: on an honest table X is 0 or 1 and Y is 0 or
-    -1. On a passing table X's denominator grows only down a run of equal
-    values before a step of +1/k!, as a product of the run's n + 2. The pass
-    runs down to n = 0, so it finds the smallest failing n, and m comes from
-    an ascending scan of that row alone: the same first (n, m) as a scan
-    over all pairs, in O(n_max) big-integer steps.
-
-    A table with an R_k that does not scale to k! has no integer steps, so
-    it keeps the scan over a common denominator, exact for any
-    denominators: ``_alternating_bound_over_lcm``.
+    pairs, with no gcd: on an honest table X is 0 or 1 and Y is 0 or -1. On
+    a passing table X's denominator grows only down a run of equal values
+    before a step of +1/k!, as a product of the run's n + 2. The recurrence
+    holds for any rationals, so a table whose R_k do not all scale to k!
+    takes the same pass over ``Fraction`` steps; on a passing one X and Y
+    reset to 0 every other row, and no denominator piles up. The pass runs
+    down to n = 0, so it finds the smallest failing n, and m comes from an
+    ascending scan of that row alone: the same first (n, m) as a scan over
+    all pairs, in O(n_max) big-number steps.
     """
     a = table.scaled
-    if None in a:
-        return _alternating_bound_over_lcm(table)
     first = None
     x_num = y_num = 0  # X = x_num/x_den >= 0 and Y = y_num/y_den <= 0
     x_den = y_den = 1
@@ -300,37 +272,6 @@ def check_alternating_bound(table: WinTable) -> CheckResult:
     m = next(
         m for m, ratio in zip(ms, accumulate(ms, mul)) if abs(a[m] - a[n] * ratio) * (n + 1) > ratio
     )
-    return _bound_exceeded(table, n, m)
-
-
-def _alternating_bound_over_lcm(table: WinTable) -> CheckResult:
-    """``alternating-bound`` over the table's least common denominator L.
-
-    Each R_n becomes the integer r_n = L*R_n. A backward pass keeps the
-    suffix max and min of r_m over m > n, so row n fails exactly when one of
-    them lies more than L/(n+1)! from r_n, and the first failing row alone
-    is rescanned in ascending m. This is the path for a table whose
-    denominators do not all divide k!, such as one with an R_k, k < 25,
-    moved by 10^-6 (from k = 25 on, 10^6 divides k!). L then grows with the
-    product of the unrelated denominators, which can cost far more than the
-    difference pass: about 2 s on a passing n_max 400 table whose R_k carry
-    distinct primes.
-    """
-    scale = math.lcm(*(value.denominator for value in table.r))  # L
-    r = [value.numerator * (scale // value.denominator) for value in table.r]
-    # hi[n] and lo[n] are the largest and smallest of r[n:].
-    hi = list(accumulate(reversed(r), max))[::-1]
-    lo = list(accumulate(reversed(r), min))[::-1]
-    fact = 1
-    for n in range(table.n_max):
-        fact *= n + 1
-        if max(hi[n + 1] - r[n], r[n] - lo[n + 1]) * fact > scale:
-            m = next(m for m in range(n + 1, table.n_max + 1) if abs(r[m] - r[n]) * fact > scale)
-            return _bound_exceeded(table, n, m)
-    return _ok("alternating-bound")
-
-
-def _bound_exceeded(table: WinTable, n: int, m: int) -> CheckResult:
     return _fail(
         "alternating-bound",
         f"|D_{n} - D_{m}| = {abs(table.d(n) - table.d(m))} exceeds "

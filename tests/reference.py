@@ -26,9 +26,9 @@ CLI's streamed CSV writer. The ``*_reduced_once`` routes are the bodies of
 ``closed_form_table``, ``gf_table`` and ``expected_steps`` from before the
 tables held k!-scaled integers: each value reduced to a ``Fraction`` as it
 is made. ``alternating_bound_over_lcm`` is the ``alternating-bound`` check
-that writes every R_n over the table's least common denominator, which
-``verify`` keeps only for tables whose values do not scale to k!. Tests
-require the package to agree with them exactly.
+that writes every R_n over the table's least common denominator, exact for
+any denominators, as ``verify``'s difference pass is. Tests require the
+package to agree with them exactly.
 """
 
 import csv

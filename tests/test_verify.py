@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pilegame.verify
@@ -141,12 +141,12 @@ def _alternating_bound_inputs(draw):
     """(family, table) for the alternating-bound property.
 
     ``honest``: a route's table. ``scaled``: a tamper of the k!-scaled
-    values, which keeps the difference pass. ``offset``: an honest or scaled
-    tamper with a nonzero constant added to every R_n (built without the
-    range checks), an integer one keeping the difference pass and any other
-    taking the fallback. ``foreign``: a ``_tampered_tables`` table with one
-    R_n moved by 1/p, p a prime above n_max + 1, so R_n does not scale to
-    n! and the table takes the fallback.
+    values, whose scaled row holds only ints. ``offset``: an honest or
+    scaled tamper with a nonzero constant added to every R_n (built without
+    the range checks), whose scaled row holds ``Fraction``s unless the
+    constant is an integer. ``foreign``: a ``_tampered_tables`` table with
+    one R_n moved by 1/p, p a prime above n_max + 1, so n!*R_n is a
+    ``Fraction``.
     """
     family = draw(st.sampled_from(("honest", "scaled", "offset", "foreign")))
     if family == "honest":
@@ -166,8 +166,21 @@ def _alternating_bound_inputs(draw):
     r = list(table.r)
     r[n] += shift if r[n] + shift <= 1 else -shift
     table = dataclasses.replace(table, r=tuple(r))
-    assume(None in table.scaled)  # a drawn R_n may already carry p
+    assume(not _all_ints(table.scaled))  # a drawn R_n may already carry p
     return family, table
+
+
+def _all_ints(row):
+    return all(type(value) is int for value in row)
+
+
+def _assert_exact_row(table):
+    """``scaled[i]`` is k!*value exactly, and an int exactly when the value's
+    denominator divides k!."""
+    values = _values(table)
+    for fact, value, scaled in zip(table._factorials(len(values)), values, table.scaled):
+        assert scaled == fact * value
+        assert (type(scaled) is int) == (fact % value.denominator == 0)
 
 
 def _is_probable_prime(n):
@@ -233,7 +246,7 @@ def _row_check_inputs(draw):
     fraction (kept valid for its table), or a count d_n by an arbitrary
     integer. The shift adds 1/p, for a prime p > n_max, to every R_n and
     every E(Z_n): no denominator then divides n!, so every steps-vs-q row
-    goes to the Fraction fallback, yet the differences, and with them
+    is decided over ``Fraction``s, yet the differences, and with them
     ``telescoping-differences`` and ``steps-vs-q-recursion``, are unchanged.
     R_1 + 1/p lies above 1 and E(Z_1) + 1/p is not 1, so those tables are
     built without their range checks. The offset adds an arbitrary nonzero
@@ -241,8 +254,8 @@ def _row_check_inputs(draw):
     still passes, and derangement-identity fails at 1 - R_0 = 1 - c. A
     foreign E(Q_n), n >= 3, gets + 1/p, the later E(Q) follow the
     recursion from it, and E(Z) is summed from them into a validated
-    table: q-recursion fails at that n, and steps-vs-q passes through its
-    fallback.
+    table: q-recursion fails at that n, and steps-vs-q passes over
+    ``Fraction``s from it on.
     """
     n_max = draw(st.integers(2, 80))
     r = list(solve_recursive(n_max).r)
@@ -283,9 +296,9 @@ def _row_check_inputs(draw):
 class _NoArithmetic(Fraction):
     """A Fraction whose sums, differences and products raise.
 
-    The integer row proofs read only numerators and denominators, so a check
-    given these values raises exactly when some row reaches its Fraction
-    fallback.
+    A value that scales to its factorial is read only through its numerator
+    and denominator, so a check given these values raises exactly when some
+    value does not scale and is multiplied through as a Fraction.
     """
 
     def _refuse(self, other):
@@ -500,15 +513,28 @@ def test_steps_vs_q_fails_on_size_mismatch(steps_n_max, q_n_max):
     )
 
 
+#: A passing table whose R_5 has a prime denominator, and one with 1/3 added
+#: to every R_n: the foreign and offset families, run on every test run.
+_HONEST_10 = solve_recursive(10)
+_FOREIGN_10 = _corrupt_table(_HONEST_10, 5, _HONEST_10.r[5] + Fraction(1, 2**61 - 1))
+_OFFSET_10 = _unvalidated(
+    WinTable, r=tuple(value + Fraction(1, 3) for value in _HONEST_10.r), method="recursive"
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_alternating_bound_inputs())
+@example(("foreign", _FOREIGN_10))
+@example(("offset", _OFFSET_10))
 def test_alternating_bound_matches_pair_scan(inputs):
-    """Both paths give the line of the scan over all pairs: verdict and first (n, m)."""
+    """The check gives the line of the scan over all pairs, verdict and first
+    (n, m), whether its scaled row holds only ints or also Fractions."""
     family, table = inputs
+    _assert_exact_row(table)
     if family in ("honest", "scaled"):
-        assert None not in table.scaled  # the difference pass
+        assert _all_ints(table.scaled)
     if family == "foreign":
-        assert None in table.scaled  # the common-denominator fallback
+        assert not _all_ints(table.scaled)
     line = alternating_bound_by_pairs(table)
     assert str(check_alternating_bound(table)) == line == alternating_bound_over_lcm(table)
     if family == "honest":
@@ -671,6 +697,8 @@ def test_single_entry_tamper_is_caught_and_named(n, data):
 @given(_row_check_inputs())
 def test_integer_row_proofs_equal_the_fraction_loops(inputs):
     kind, table, counts, steps, qseq = inputs
+    _assert_exact_row(table)
+    _assert_exact_row(steps)
     pairs = [
         (check_derangement_identity(table, counts),
          derangement_identity_cross_multiplied(table, counts)),
@@ -708,7 +736,7 @@ def test_honest_rows_never_reach_the_fraction_fallback(n_max):
     assert all(result.passed for result in results), [str(r) for r in results]
     offset = Fraction(1, 2**61 - 1)
     shifted = _unvalidated(
-        WinTable, r=sealed(v + offset for v in solve_recursive(n_max).r), method="recursive"
+        WinTable, r=tuple(v + offset for v in solve_recursive(n_max).r), method="recursive"
     )
     assert check_telescoping_differences(shifted).passed
     with pytest.raises(AssertionError, match="reached the fallback"):
