@@ -7,14 +7,14 @@ Bounded draws take the high bits of each 64-bit output and reject values
 outside the range, so they are exactly uniform.
 
 ``Xoshiro256StarStar`` is the scalar reference. ``stream`` yields the same
-outputs faster: the generator's state update is linear over GF(2), so the
-state ``LANE_STEPS`` steps ahead is a fixed 256x256 bit matrix times the
-state. ``stream`` uses that jump to start up to ``MAX_LANES`` lanes, each
-on its own consecutive run of ``LANE_STEPS`` outputs, and steps all of them
-at once with one big-int operation per term of the step; a batch keeps 16
-bytes per output. ``_top_bytes`` is the same stream reduced to each
-output's top byte: its lanes sit in narrower slots, and a batch keeps one
-byte per output.
+outputs faster, in batches of lanes, each on its own consecutive run of
+``LANE_STEPS`` outputs and all stepped at once with one big-int operation
+per term of the step; a batch keeps 16 bytes per output. Run 0 is the first
+batch, alone. The state update is linear over GF(2), so the state
+``LANE_STEPS`` steps ahead is a fixed 256x256 bit matrix times the state:
+that jump starts the lanes of each later batch, up to ``MAX_LANES``.
+``_top_bytes`` is the same stream reduced to each output's top byte: its
+lanes sit in narrower slots, and a batch keeps one byte per output.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import cache, reduce
-from itertools import chain, islice
+from itertools import chain
 from operator import getitem, xor
 from typing import Callable, Iterable, Iterator
 
@@ -218,27 +218,26 @@ def jump(x: int) -> int:
 
 
 def _lane_starts(state: tuple[int, int, int, int], slot: int) -> Iterator[tuple[int, list[int]]]:
-    """``(lanes, packed starts)`` for each batch of runs after run 0 of the stream from ``state``.
+    """``(lanes, packed starts)`` for each batch of runs of the stream from ``state``.
 
-    Run k starts k ``jump``s from ``state``. Batches double from two lanes to
-    ``MAX_LANES``, one run per lane, so a short block makes few runs.
+    Run k starts k ``jump``s from ``state``, so run 0, alone in the first
+    batch, needs no jump. Batches double to ``MAX_LANES``, one run per lane,
+    so a short block makes few runs.
     """
     s0, s1, s2, s3 = state
     x = s0 | s1 << 64 | s2 << 128 | s3 << 192
-    lanes = 2
+    lanes, starts = 1, [x]
     while True:
+        yield lanes, _pack(starts, slot)
+        lanes = min(2 * lanes, MAX_LANES)
         starts = []
         for _ in range(lanes):
             x = jump(x)
             starts.append(x)
-        yield lanes, _pack(starts, slot)
-        lanes = min(2 * lanes, MAX_LANES)
 
 
 def _lane_runs(state: tuple[int, int, int, int]) -> Iterator[Iterable[int]]:
-    """Runs of ``stream(state)``; run 0 is lazy, so a short block makes only what it reads."""
-    rng = Xoshiro256StarStar._from_state(state)
-    yield (rng.next_u64() for _ in range(LANE_STEPS))
+    """Runs of ``stream(state)``, in stream order, one batch at a time."""
     for lanes, packed in _lane_starts(state, _SLOT_BYTES):
         out = array("Q")
         _step_lanes(packed, lanes, LANE_STEPS, _SLOT_BYTES, out.frombytes)
@@ -252,26 +251,23 @@ def stream(state: tuple[int, int, int, int]) -> Iterator[int]:
     """Endless raw outputs of the xoshiro256** stream that starts in ``state``.
 
     The same values, in the same order, as successive ``next_u64`` calls of
-    a ``Xoshiro256StarStar`` in that state. The first ``LANE_STEPS`` are
-    those calls; the rest are made in lanes (see ``_lane_starts``).
+    a ``Xoshiro256StarStar`` in that state, made in lanes (see ``_lane_starts``).
     """
     return chain.from_iterable(_lane_runs(state))
 
 
-def _top_rows(lanes: int, packed: list[int]) -> bytes:
-    """Every output's top byte for one batch, in rows of ``lanes`` bytes, one row per step."""
-    rows = []
-    # Byte 7 of a little-endian slot is the top byte of its output.
-    _step_lanes(packed, lanes, LANE_STEPS, _TOP_SLOT_BYTES,
-                lambda row: rows.append(row[7::_TOP_SLOT_BYTES]))
-    return b"".join(rows)
+def _top_runs(state: tuple[int, int, int, int]) -> Iterator[bytes]:
+    """Runs of ``_top_bytes(state)``, in stream order, one batch at a time."""
+    for lanes, packed in _lane_starts(state, _TOP_SLOT_BYTES):
+        rows = []
+        # Byte 7 of a little-endian slot is the top byte of its output.
+        _step_lanes(packed, lanes, LANE_STEPS, _TOP_SLOT_BYTES,
+                    lambda row: rows.append(row[7::_TOP_SLOT_BYTES]))
+        top = b"".join(rows)  # one row of ``lanes`` bytes per step
+        for i in range(lanes):
+            yield top[i::lanes]
 
 
 def _top_bytes(state: tuple[int, int, int, int]) -> Iterator[int]:
     """``out >> 56`` for every output of ``stream(state)``, in stream order."""
-    batches = _lane_starts(state, _TOP_SLOT_BYTES)
-    tops = ((lanes, _top_rows(lanes, packed)) for lanes, packed in batches)
-    runs = (top[i::lanes] for lanes, top in tops for i in range(lanes))
-    # Run 0 is ``stream``'s lazy one: ``islice`` stops without asking for run 1.
-    run0 = (x >> 56 for x in islice(stream(state), LANE_STEPS))
-    return chain(run0, chain.from_iterable(runs))
+    return chain.from_iterable(_top_runs(state))

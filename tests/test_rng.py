@@ -162,9 +162,9 @@ def test_jump_equals_lane_steps_scalar_steps(state):
 @settings(max_examples=10, deadline=None)
 @given(states)
 def test_stream_equals_successive_next_u64(state):
-    # The first run is scalar, then batches have 2, 4, ..., MAX_LANES lanes,
-    # then MAX_LANES each: 1 + 2 + ... + MAX_LANES = 2 * MAX_LANES - 1 runs
-    # go through every growing batch, then two full ones follow.
+    # Batches have 1 (run 0 alone), 2, 4, ..., MAX_LANES lanes, then
+    # MAX_LANES each: 1 + 2 + ... + MAX_LANES = 2 * MAX_LANES - 1 runs go
+    # through every growing batch, then two full ones follow.
     count = LANE_STEPS * (2 * MAX_LANES - 1 + 2 * MAX_LANES)
     rng = Xoshiro256StarStar._from_state(state)
     assert list(islice(stream(state), count)) == [rng.next_u64() for _ in range(count)]
@@ -180,8 +180,19 @@ def test_top_bytes_are_the_top_bytes_of_stream(state):
 
 
 def test_jump_tables_are_not_built_at_import():
+    # Then a block that stays in run 0, on either path, builds no jump tables
+    # either; the 513th output of a stream, the first of run 1, does.
     code = ("import pilegame.cli, pilegame.rng, pilegame.simulate; "
-            "print(pilegame.rng._jump_tables.cache_info().currsize, "
-            "pilegame.simulate._pile_table.cache_info().currsize)")
+            "from itertools import islice; "
+            "from pilegame.rng import _jump_tables, _top_bytes, stream; "
+            "print(_jump_tables.cache_info().currsize, "
+            "pilegame.simulate._pile_table.cache_info().currsize); "
+            "s = pilegame.rng.expand_seed(1); "
+            "pilegame.simulate._run_block(10, 1, s); "
+            "pilegame.simulate._run_block(2**40, 1, s); "
+            "list(islice(stream(s), 512)); list(islice(_top_bytes(s), 512)); "
+            "print(_jump_tables.cache_info().currsize); "
+            "list(islice(stream(s), 513)); "
+            "print(_jump_tables.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["0", "0"]
+    assert out.stdout.split() == ["0", "0", "0", "1"]

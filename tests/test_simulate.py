@@ -129,7 +129,7 @@ edge_piles = st.one_of(
 def _games_past_the_first_full_batch(n):
     """Games from pile ``n`` that read past the first batch of ``MAX_LANES`` lanes.
 
-    Run 0 and batches of 2, 4, ..., ``MAX_LANES`` lanes make
+    Batches of 1 (run 0 alone), 2, 4, ..., ``MAX_LANES`` lanes make
     2 * MAX_LANES - 1 runs; the games read into the run after them. A game
     reads one output from piles 1 and 2, and about ln(n) draws from larger
     piles, which is more than n.bit_length() / 2 outputs on average.

@@ -740,4 +740,6 @@ def test_honest_rows_never_reach_the_fraction_fallback(n_max):
     )
     assert check_telescoping_differences(shifted).passed
     with pytest.raises(AssertionError, match="reached the fallback"):
+        _corrupt_table(table, 2, _NoArithmetic(1, 3)).scaled
+    with pytest.raises(AssertionError, match="reached the fallback"):
         check_telescoping_differences(_corrupt_table(table, 2, _NoArithmetic(1, 3)))
