@@ -9,8 +9,8 @@ outside the range, so they are exactly uniform.
 ``Xoshiro256StarStar`` is the scalar reference. ``stream`` yields the same
 outputs faster, in batches of lanes, each on its own consecutive run of
 ``LANE_STEPS`` outputs and all stepped at once with one big-int operation
-per term of the step; a batch keeps 16 bytes per output. Run 0 is the first
-batch, alone. The state update is linear over GF(2), so the state
+per term of the step; a batch keeps 16 bytes per output. Run 0 is one lane,
+made in short pieces. The state update is linear over GF(2), so the state
 ``LANE_STEPS`` steps ahead is a fixed 256x256 bit matrix times the state:
 that jump starts the lanes of each later batch, up to ``MAX_LANES``.
 ``_top_bytes`` is the same stream reduced to each output's top byte: its
@@ -166,10 +166,8 @@ def _step_lanes(
     little-endian bytes, one slot per lane with the output in the low 8 bytes.
     """
     s0, s1, s2, s3 = packed
-    m7, m19, m45, m47 = (
-        int.from_bytes(((1 << k) - 1).to_bytes(slot, "little") * lanes, "little")
-        for k in (7, 19, 45, 47)
-    )
+    ones = int.from_bytes((1).to_bytes(slot, "little") * lanes, "little")  # 1 in every slot
+    m7, m19, m45, m47 = [(ones << k) - ones for k in (7, 19, 45, 47)]  # bits 0..k-1 of each
     width = slot * lanes
     for _ in range(steps):
         if emit is not None:
@@ -217,57 +215,59 @@ def jump(x: int) -> int:
     return reduce(xor, map(getitem, _jump_tables(), nibbles))
 
 
-def _lane_starts(state: tuple[int, int, int, int], slot: int) -> Iterator[tuple[int, list[int]]]:
-    """``(lanes, packed starts)`` for each batch of runs of the stream from ``state``.
+def _runs(state: tuple[int, int, int, int], slot: int, batch: Callable) -> Iterator[Iterable[int]]:
+    """Runs of the stream from ``state``, in stream order, as ``batch`` makes them.
 
-    Run k starts k ``jump``s from ``state``, so run 0, alone in the first
-    batch, needs no jump. Batches double to ``MAX_LANES``, one run per lane,
-    so a short block makes few runs.
+    ``batch(lanes, steps, packed)`` steps ``lanes`` packed ``slot``-byte
+    lanes ``steps`` times; it returns their end states and each lane's
+    outputs. Run 0 is one lane from ``state``, made 8, 8, then 16 outputs at
+    a time, each piece from the last one's end state, so a short block makes
+    little past what it reads and never builds the jump tables. Run k starts
+    k ``jump``s from ``state``; later batches double from 2 lanes to
+    ``MAX_LANES``, one run per lane.
     """
-    s0, s1, s2, s3 = state
-    x = s0 | s1 << 64 | s2 << 128 | s3 << 192
-    lanes, starts = 1, [x]
+    packed = list(state)  # one lane's packed words are its state's
+    for steps in [8, 8] + [16] * (LANE_STEPS // 16 - 1):
+        packed, piece = batch(1, steps, packed)
+        yield from piece
+    x, lanes = sum(w << 64 * i for i, w in enumerate(state)), 2
     while True:
-        yield lanes, _pack(starts, slot)
-        lanes = min(2 * lanes, MAX_LANES)
         starts = []
         for _ in range(lanes):
             x = jump(x)
             starts.append(x)
+        yield from batch(lanes, LANE_STEPS, _pack(starts, slot))[1]
+        lanes = min(2 * lanes, MAX_LANES)
 
 
-def _lane_runs(state: tuple[int, int, int, int]) -> Iterator[Iterable[int]]:
-    """Runs of ``stream(state)``, in stream order, one batch at a time."""
-    for lanes, packed in _lane_starts(state, _SLOT_BYTES):
-        out = array("Q")
-        _step_lanes(packed, lanes, LANE_STEPS, _SLOT_BYTES, out.frombytes)
-        if sys.byteorder == "big":
-            out.byteswap()
-        for i in range(0, 2 * lanes, 2):
-            yield out[i :: 2 * lanes]
+def _outputs(lanes: int, steps: int, packed: list[int]) -> tuple[list[int], list[Iterable[int]]]:
+    """A ``_runs`` batch of whole outputs, in 16-byte slots."""
+    out = array("Q")
+    end = _step_lanes(packed, lanes, steps, _SLOT_BYTES, out.frombytes)
+    if sys.byteorder == "big":
+        out.byteswap()
+    return end, [out[i :: 2 * lanes] for i in range(0, 2 * lanes, 2)]
 
 
 def stream(state: tuple[int, int, int, int]) -> Iterator[int]:
     """Endless raw outputs of the xoshiro256** stream that starts in ``state``.
 
     The same values, in the same order, as successive ``next_u64`` calls of
-    a ``Xoshiro256StarStar`` in that state, made in lanes (see ``_lane_starts``).
+    a ``Xoshiro256StarStar`` in that state, made in lanes (see ``_runs``).
     """
-    return chain.from_iterable(_lane_runs(state))
+    return chain.from_iterable(_runs(state, _SLOT_BYTES, _outputs))
 
 
-def _top_runs(state: tuple[int, int, int, int]) -> Iterator[bytes]:
-    """Runs of ``_top_bytes(state)``, in stream order, one batch at a time."""
-    for lanes, packed in _lane_starts(state, _TOP_SLOT_BYTES):
-        rows = []
-        # Byte 7 of a little-endian slot is the top byte of its output.
-        _step_lanes(packed, lanes, LANE_STEPS, _TOP_SLOT_BYTES,
-                    lambda row: rows.append(row[7::_TOP_SLOT_BYTES]))
-        top = b"".join(rows)  # one row of ``lanes`` bytes per step
-        for i in range(lanes):
-            yield top[i::lanes]
+def _tops(lanes: int, steps: int, packed: list[int]) -> tuple[list[int], list[bytes]]:
+    """A ``_runs`` batch of each output's top byte, in 10-byte slots."""
+    rows = []
+    # Byte 7 of a little-endian slot is the top byte of its output.
+    end = _step_lanes(packed, lanes, steps, _TOP_SLOT_BYTES,
+                      lambda row: rows.append(row[7::_TOP_SLOT_BYTES]))
+    top = b"".join(rows)  # one row of ``lanes`` bytes per step
+    return end, [top[i::lanes] for i in range(lanes)]
 
 
 def _top_bytes(state: tuple[int, int, int, int]) -> Iterator[int]:
     """``out >> 56`` for every output of ``stream(state)``, in stream order."""
-    return chain.from_iterable(_top_runs(state))
+    return chain.from_iterable(_runs(state, _TOP_SLOT_BYTES, _tops))
