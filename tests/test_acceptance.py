@@ -14,10 +14,7 @@ import sys
 import time
 from fractions import Fraction
 
-from click.testing import CliRunner
-
 import pilegame.verify
-from pilegame.cli import main as cli_main
 from pilegame.exact import (
     FLOAT_SLACK,
     closed_form_table,
@@ -30,6 +27,8 @@ from pilegame.exact import (
 from pilegame.oracle import oracle_expected_steps, oracle_win_prob
 from pilegame.simulate import run_trial_sums
 from pilegame.steps import expected_steps, q_sequence
+
+from cli_runner import run_cli
 
 N_MAX = 200
 ORACLE_MAX = 12
@@ -269,9 +268,7 @@ def test_criterion_9_verify_detects_tampering(monkeypatch):
         return dataclasses.replace(table, r=tuple(r))
 
     monkeypatch.setattr(pilegame.verify, "solve_telescoping", tampered)
-    result = CliRunner().invoke(
-        cli_main, ["verify", "--n-max", "30", "--oracle-max", "6"]
-    )
+    result = run_cli(["verify", "--n-max", "30", "--oracle-max", "6"])
     ok = result.exit_code == 1 and "n=10" in result.output
     _report(
         "criterion-9b corrupted table entry makes verify exit 1 naming the n",

@@ -11,22 +11,21 @@ import sys
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
 import pilegame.cli as cli
 import pilegame.verify
-from pilegame.cli import main
 from pilegame.exact import (
     FLOAT_SLACK, METHODS, _whole_ints, derangements, solve_recursive, solve_telescoping,
 )
 
+from cli_runner import run_cli
 from reference import csv_report
 
 
 def _run(*args):
-    return CliRunner().invoke(main, list(args))
+    return run_cli(args)
 
 
 def _csv_rows(output):
@@ -350,7 +349,7 @@ def test_usage_error(args, says):
 #: First 16 hex digits of the SHA-256 of stdout. They pin header order, JSON
 #: ``meta`` key order and every byte of each report, the help text and the
 #: version line: stdout is byte-identical for identical arguments, so a
-#: changed digest is a changed output contract. ``CliRunner`` lays help out
+#: changed digest is a changed output contract. ``run_cli`` lays help out
 #: 80 columns wide whatever the terminal.
 GOLDEN_STDOUT = {
     "--help": "49712bcc17763ade",
@@ -483,3 +482,13 @@ def test_commands_call_the_wrapped_names_through_the_cli_module(name, monkeypatc
     result = _run(*WRAPPED_NAMES[name].split())
     assert result.exit_code == 0, result.output
     assert calls
+
+
+@pytest.mark.parametrize("args", ["verify --n-max 20 --oracle-max 6", "solve --n-max 5"])
+def test_click_runner_sees_what_run_cli_sees(args):
+    """The benchmark's traced pass calls ``main`` through ``click.testing``."""
+    click_testing = pytest.importorskip("click.testing")
+    theirs = click_testing.CliRunner().invoke(cli.main, args.split())
+    ours = _run(*args.split())
+    assert (theirs.exit_code, theirs.stdout) == (ours.exit_code, ours.stdout)
+    assert ours.exit_code == 0 and ours.stdout
