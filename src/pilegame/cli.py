@@ -5,17 +5,22 @@ one JSON object with ``rows`` and ``meta``), stderr carries diagnostics.
 Rationals are emitted as numerator/denominator integer column pairs so
 downstream tools can reproduce the exact checks; float columns are printed
 with 17 significant digits and are convenience only. Exit codes: 0 success,
-1 verification failure, 2 usage error.
+1 verification failure, 2 usage error, 141 stdout closed before the report
+was written (a shell's code for a process that SIGPIPE ends).
+
+The parser uses only the standard library: each command is a function with
+a table of its options, which ``_parse`` and ``_values`` read and ``_help``
+lays out. Arguments, ``Error:`` lines and help screens are those of the
+click 8 interface it replaced.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
 from importlib import import_module
-
-import click
 
 from . import _EXPORTS, __version__
 from .exact import (
@@ -25,9 +30,13 @@ from .oracle import MEMOIZED_MAX_N
 from .rng import MASK64, MAX_PILE
 
 
+class _UsageError(Exception):
+    """Arguments the CLI rejects: exit 2, with the usage and an ``Error:`` line on stderr."""
+
+
 def _lazy(name: str):
     """``pilegame.<name>``, imported from its module on each call, whose
-    ``ValueError`` is raised as ``click.UsageError`` (exit 2).
+    ``ValueError`` is raised as the CLI's usage error (exit 2).
 
     A command that calls none of them never loads the simulator, the steps
     recursion or the checks. The commands look these names up in the
@@ -44,7 +53,7 @@ def _lazy(name: str):
         try:
             return impl(*args, **kwargs)
         except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
+            raise _UsageError(str(exc)) from exc
 
     return forward
 
@@ -92,30 +101,7 @@ def _emit(rows: list[dict], fmt: str, method: str, seed: int | None = None) -> N
         write(json.dumps({"rows": rows, "meta": meta}, indent=2) + "\n")
 
 
-def _format_option(f):
-    return click.option(
-        "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-        help="Report format written to stdout.",
-    )(f)
-
-
-@click.group()
-@click.version_option(__version__)
-def main() -> None:
-    """Exact solvers, a seedable simulator, and cross-verification for the
-    random-vs-deterministic pile game."""
-    # Lifted through the subcommand's option parsing and report; restored after.
-    click.get_current_context().with_resource(_whole_ints())
-
-
-@main.command("solve")
-@click.option("--n-max", type=click.IntRange(min=0), required=True,
-              help="Largest pile size to report.")
-@click.option("--method", type=click.Choice(sorted(m.replace("_", "-") for m in METHODS)),
-              default="recursive",
-              help="Which solver path produces the probabilities.")
-@_format_option
-def solve_cmd(n_max: int, method: str, fmt: str) -> None:
+def solve_cmd(n_max: int, method: str, format: str) -> None:
     """Deterministic player's win probability for every n up to --n-max."""
     table = solve(n_max, method.replace("-", "_"))
     counts = derangements(n_max)
@@ -131,22 +117,10 @@ def solve_cmd(n_max: int, method: str, fmt: str) -> None:
             "d_n": counts[n],
             "method": table.method,
         })
-    _emit(rows, fmt, table.method)
+    _emit(rows, format, table.method)
 
 
-@main.command()
-@click.option("--n", type=click.IntRange(min=1, max=MAX_PILE), required=True,
-              help="Initial pile size (1 to 2**64).")
-@click.option("--trials", type=click.IntRange(min=1), default=100_000,
-              help="Number of independent games.")
-@click.option("--seed", type=click.IntRange(min=0, max=MASK64), default=0,
-              help="Unsigned 64-bit master seed.")
-@click.option("--workers", type=click.IntRange(min=1), default=1,
-              help="Number of contiguous trial blocks / generator streams.")
-@click.option("--ci-level", type=float, default=0.99,
-              help="Wilson interval level (0.90, 0.95, 0.99 or 0.999).")
-@_format_option
-def simulate(n: int, trials: int, seed: int, workers: int, ci_level: float, fmt: str) -> None:
+def simulate(n: int, trials: int, seed: int, workers: int, ci_level: float, format: str) -> None:
     """Monte Carlo estimate of the deterministic player's win probability."""
     result = run_trials(n, trials, seed=seed, workers=workers, ci_level=ci_level)
     d_exact = 1 - closed_form(n)
@@ -157,14 +131,10 @@ def simulate(n: int, trials: int, seed: int, workers: int, ci_level: float, fmt:
         "d_exact_den": d_exact.denominator,
         "within_ci": within_ci,
     }]
-    _emit(rows, fmt, "simulate", seed)
+    _emit(rows, format, "simulate", seed)
 
 
-@main.command()
-@click.option("--n-max", type=click.IntRange(min=1), required=True,
-              help="Largest pile size to report.")
-@_format_option
-def steps(n_max: int, fmt: str) -> None:
+def steps(n_max: int, format: str) -> None:
     """Expected number of random-player moves E(Z_n) and differences E(Q_n)."""
     table = expected_steps(n_max)
     rows = []
@@ -179,30 +149,20 @@ def steps(n_max: int, fmt: str) -> None:
             "eq_den": eq.denominator if eq is not None else None,
             "ez_float": float(ez),
         })
-    _emit(rows, fmt, "steps")
+    _emit(rows, format, "steps")
 
 
-@main.command()
-@click.option("--n-max", type=click.IntRange(min=2), default=200,
-              help="Upper pile size for the analytic cross-checks.")
-@click.option("--oracle-max", type=click.IntRange(min=0, max=MEMOIZED_MAX_N), default=12,
-              help=f"Upper pile size for game-tree comparisons (<= {MEMOIZED_MAX_N}).")
-def verify(n_max: int, oracle_max: int) -> None:
+def verify(n_max: int, oracle_max: int) -> int:
     """Run every named cross-check; exit 0 only if all of them pass."""
     results = run_checks(n_max=n_max, oracle_max=oracle_max)
     for result in results:
         sys.stdout.write(f"{result}\n")
     failures = sum(1 for result in results if not result.passed)
     sys.stdout.write(f"{len(results) - failures}/{len(results)} checks passed\n")
-    if failures:
-        sys.exit(1)
+    return 1 if failures else 0
 
 
-@main.command()
-@click.option("--n-max", type=click.IntRange(min=0), required=True,
-              help="Largest pile size to report.")
-@_format_option
-def convergence(n_max: int, fmt: str) -> None:
+def convergence(n_max: int, format: str) -> None:
     """Distance between D_n and 1/e with the factorial decay bound.
 
     gap_to_e_inv is a double-precision distance, so it may exceed bound by
@@ -218,4 +178,240 @@ def convergence(n_max: int, fmt: str) -> None:
             "gap_to_e_inv": report.gap,
             "bound": float(report.bound),
         })
-    _emit(rows, fmt, "convergence")
+    _emit(rows, format, "convergence")
+
+
+def _ints(low: int, high: int | None = None):
+    """The kind of an integer option from ``low`` to ``high`` (None: no bound)."""
+    span = f"x>={low}" if high is None else f"{low}<=x<={high}"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"{text!r} is not a valid integer range.") from None
+        if value < low or high is not None and value > high:
+            raise ValueError(f"{value} is not in the range {span}.")
+        return value
+
+    return "INTEGER RANGE", span, parse
+
+
+def _choice(*choices: str):
+    """The kind of an option that takes one of ``choices``."""
+
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"{text!r} is not one of {', '.join(map(repr, choices))}.")
+        return text
+
+    return f"[{'|'.join(choices)}]", None, parse
+
+
+def _float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not a valid float.") from None
+
+
+#: Options: flag -> (kind, default, help). A kind is (metavar, the range
+#: help shows or None, parser), None for a flag that takes no value; a
+#: default of None makes the option required. A command gets each value as
+#: the keyword its flag names (``--n-max`` as ``n_max``).
+_HELP = {"--help": (None, False, "Show this message and exit.")}
+_GROUP = {"--version": (None, False, "Show the version and exit.")}
+_FORMAT = {"--format": (_choice("csv", "json"), "csv", "Report format written to stdout.")}
+_N_MAX = "Largest pile size to report."
+
+#: Command name -> (function, options), in the order help lists them.
+_COMMANDS = {
+    "convergence": (convergence, {"--n-max": (_ints(0), None, _N_MAX), **_FORMAT}),
+    "simulate": (simulate, {
+        "--n": (_ints(1, MAX_PILE), None, "Initial pile size (1 to 2**64)."),
+        "--trials": (_ints(1), 100_000, "Number of independent games."),
+        "--seed": (_ints(0, MASK64), 0, "Unsigned 64-bit master seed."),
+        "--workers": (_ints(1), 1, "Number of contiguous trial blocks / generator streams."),
+        "--ci-level": (("FLOAT", None, _float), 0.99,
+                       "Wilson interval level (0.90, 0.95, 0.99 or 0.999)."),
+        **_FORMAT,
+    }),
+    "solve": (solve_cmd, {
+        "--n-max": (_ints(0), None, _N_MAX),
+        "--method": (_choice(*sorted(m.replace("_", "-") for m in METHODS)), "recursive",
+                     "Which solver path produces the probabilities."),
+        **_FORMAT,
+    }),
+    "steps": (steps, {"--n-max": (_ints(1), None, _N_MAX), **_FORMAT}),
+    "verify": (verify, {
+        "--n-max": (_ints(2), 200, "Upper pile size for the analytic cross-checks."),
+        "--oracle-max": (_ints(0, MEMOIZED_MAX_N), 12,
+                         f"Upper pile size for game-tree comparisons (<= {MEMOIZED_MAX_N})."),
+    }),
+}
+
+_ABOUT = """Exact solvers, a seedable simulator, and cross-verification for the
+random-vs-deterministic pile game."""
+
+
+def _parse(args: list[str], options: dict, interspersed: bool) -> tuple[dict, list[str]]:
+    """``args`` split into {flag: value text, or None for a flag}, in the
+    order first given, and the other arguments. Without ``interspersed``,
+    the first other argument ends the options."""
+    args, given, rest = list(args), {}, []
+    while args:
+        arg = args.pop(0)
+        if arg == "--":
+            return given, rest + args
+        if arg[:1] != "-" or arg == "-":
+            rest.append(arg)
+            if not interspersed:
+                return given, rest + args
+            continue
+        flag, eq, value = arg.partition("=")
+        if flag not in options:
+            raise _no_such_option(flag, options)
+        if options[flag][0] is None:
+            if eq:
+                raise _UsageError(f"Option {flag!r} does not take a value.")
+            value = None
+        elif not eq:
+            if not args:
+                raise _UsageError(f"Option {flag!r} requires an argument.")
+            value = args.pop(0)
+        given[flag] = value
+    return given, rest
+
+
+def _no_such_option(flag: str, options: dict) -> _UsageError:
+    if flag[1] != "-":  # a short option: named by its first letter
+        return _UsageError(f"No such option {flag[:2]!r}.")
+    from difflib import get_close_matches
+
+    near = sorted(get_close_matches(flag, options))
+    hint = f"Did you mean {near[0]!r}?" if len(near) == 1 else (
+        f"(Did you mean one of: {', '.join(map(repr, near))}?)" if near else "")
+    return _UsageError(f"No such option {flag!r}. {hint}".rstrip())
+
+
+def _values(given: dict, options: dict) -> dict:
+    """The keyword arguments of a command: each given option parsed, in the
+    order given, then the default of each option not given."""
+    values = {}
+    for flag, text in given.items():
+        try:
+            values[flag] = options[flag][0][2](text)
+        except ValueError as exc:
+            raise _UsageError(f"Invalid value for {flag!r}: {exc}") from None
+    for flag, (kind, default, _) in options.items():
+        if kind and flag not in values:  # not --help
+            if default is None:
+                raise _UsageError(f"Missing option {flag!r}.")
+            values[flag] = default
+    return {flag[2:].replace("-", "_"): value for flag, value in values.items()}
+
+
+def _help(usage: str, doc: str, options: dict, width: int | None, commands=None) -> str:
+    """A help screen as click 8 lays it out, ``width`` columns wide (by
+    default the terminal's width less 2, from 50 up to 78)."""
+    import shutil
+    from textwrap import fill
+
+    if width is None:
+        width = max(min(shutil.get_terminal_size().columns, 80) - 2, 50)
+
+    def columns(rows: list[tuple[str, str]]) -> list[str]:
+        """Terms, each with its text wrapped to its right."""
+        col = min(max(len(term) for term, _ in rows), 30) + 2
+        lines = []
+        for term, text in rows:
+            first, *more = fill(text, max(width - col - 2, 10)).split("\n")
+            if len(term) <= col - 2:
+                lines.append(f"  {term:<{col}}{first}")
+            else:
+                lines += [f"  {term}", " " * (col + 2) + first]
+            lines += [" " * (col + 2) + line for line in more]
+        return lines
+
+    rows = []
+    for flag, (kind, default, text) in options.items():
+        extra = [kind[1]] if kind and kind[1] else []
+        extra += ["required"] if default is None else []
+        rows.append((f"{flag} {kind[0]}" if kind else flag,
+                     f"{text}  [{'; '.join(extra)}]" if extra else text))
+    lines = [f"Usage: {usage}", ""]
+    lines += [fill(" ".join(paragraph.split()), width, initial_indent="  ", subsequent_indent="  ")
+              + "\n" for paragraph in doc.split("\n\n")]
+    lines += ["Options:", *columns(rows)]
+    if commands:
+        limit = width - 6 - max(map(len, commands))
+        lines += ["", "Commands:", *columns([(name, _short(command.__doc__, limit))
+                                             for name, (command, _) in commands.items()])]
+    return "\n".join(lines) + "\n"
+
+
+def _short(doc: str, limit: int) -> str:
+    """The first paragraph of ``doc`` on one line, cut after a word with
+    "..." to at most ``limit`` characters if longer."""
+    text = " ".join(doc.partition("\n\n")[0].split())
+    return text if len(text) <= limit else text[: limit - 2].rpartition(" ")[0] + "..."
+
+
+def _program_name() -> str:
+    """``python -m <package>`` when run as a module, else the script's name."""
+    package = getattr(sys.modules["__main__"], "__package__", None)
+    return f"python -m {package}" if package else os.path.basename(sys.argv[0])
+
+
+def main(args=None, prog_name: str | None = None, terminal_width: int | None = None) -> None:
+    """Run the command that ``args`` (by default ``sys.argv[1:]``) name, then
+    exit with its code.
+
+    ``prog_name`` names the program in help and errors. Help is
+    ``terminal_width`` columns wide if given. ``main.main`` is ``main`` and
+    ``main.name`` is ``"main"``, so ``click.testing.CliRunner().invoke(main,
+    args)`` runs it as it ran the click group this replaced.
+    """
+    args = list(sys.argv[1:] if args is None else args)
+    path = prog_name or _program_name()
+    usage, doc, commands = f"{path} [OPTIONS] COMMAND [ARGS]...", _ABOUT, _COMMANDS
+    options, code = {**_GROUP, **_HELP}, 0
+    try:
+        with _whole_ints():  # lifted through option parsing and the report; restored after
+            given, rest = _parse(args, options, interspersed=False)
+            if args and not given:  # no --help or --version: a command
+                if not rest or rest[0] not in _COMMANDS:
+                    raise _UsageError(f"No such command {rest[0]!r}." if rest
+                                      else "Missing command.")
+                command, options = _COMMANDS[rest[0]]
+                options = {**options, **_HELP}
+                path, doc, commands = f"{path} {rest[0]}", command.__doc__, None
+                usage = f"{path} [OPTIONS]"
+                given, rest = _parse(rest[1:], options, interspersed=True)
+            if "--version" == next(iter(given), None):
+                sys.stdout.write(f"{path}, version {__version__}\n")
+            elif "--help" in given or not args:  # no arguments: help, as a usage error
+                screen = _help(usage, doc, options, terminal_width, commands)
+                (sys.stdout if args else sys.stderr).write(screen)
+                code = 0 if args else 2
+            else:
+                values = _values(given, options)
+                if rest:
+                    raise _UsageError(f"Got unexpected extra argument{'s' * (len(rest) > 1)}"
+                                      f" ({' '.join(rest)})")
+                code = command(**values) or 0
+        sys.stdout.flush()
+    except _UsageError as exc:
+        sys.stderr.write(f"Usage: {usage}\nTry '{path} --help' for help.\n\nError: {exc}\n")
+        code = 2
+    except BrokenPipeError:  # stdout closed early, as by `| head -1`
+        if sys.stdout is sys.__stdout__:  # nothing is left to flush there at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    except KeyboardInterrupt:
+        sys.stderr.write("\nAborted!\n")
+        code = 1
+    sys.exit(code)
+
+
+main.main, main.name = main, "main"
