@@ -14,8 +14,10 @@ load on other 3.x versions, and nothing is installed. For each interpreter:
   errors, no cache provider);
 * otherwise: a stdlib smoke with only ``src`` on the path, namely
   ``run_checks(200, 12)``, ``_whole_ints`` printing an integer past the
-  int-to-str digit limit, and one ``_run_block`` against a ``play_game``
-  replay of the same stream.
+  int-to-str digit limit, one ``_run_block`` against a ``play_game``
+  replay of the same stream, then the CLI (it needs no other package):
+  ``python -m pilegame --version`` and ``python -m pilegame verify
+  --n-max 50 --oracle-max 6``.
 
 It prints one line per interpreter and exits 1 if any run failed. Pytest
 does not collect this file.
@@ -60,6 +62,7 @@ replay = (
 assert _run_block(10, 2000, state) == replay, (_run_block(10, 2000, state), replay)
 print(f"{len(results)}/{len(results)} checks passed, _whole_ints and _run_block ok")
 """
+CLI_SMOKE = [["--version"], ["verify", "--n-max", "50", "--oracle-max", "6"]]
 
 
 def interpreters() -> list[str]:
@@ -99,8 +102,10 @@ def main() -> int:
             code, last = run(python, TIER1, tools)
             line, failed = f"tier-1: {last}", failed or code != 0
         else:
-            code, last = run(python, ["-c", SMOKE], src)
-            line, failed = f"smoke (no pytest): {last}", failed or code != 0
+            runs = [run(python, args, src)
+                    for args in (["-c", SMOKE], *(["-m", "pilegame", *cli] for cli in CLI_SMOKE))]
+            line = "smoke (no pytest): " + "; ".join(last for _, last in runs)
+            failed = failed or any(code for code, _ in runs)
         print(f"{version or python:<9} {line}", flush=True)
     return 1 if failed else 0
 

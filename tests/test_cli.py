@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import math
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -492,3 +493,15 @@ def test_click_runner_sees_what_run_cli_sees(args):
     ours = _run(*args.split())
     assert (theirs.exit_code, theirs.stdout) == (ours.exit_code, ours.stdout)
     assert ours.exit_code == 0 and ours.stdout
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    """A reader that stops early, as ``| head -1`` does: not exit 1, the code
+    of a failed ``verify``, and nothing on stderr."""
+    proc = subprocess.Popen([sys.executable, "-m", "pilegame", "solve", "--n-max", "1000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"n,d_prob_num,")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), stderr) == (141, b"")

@@ -30,6 +30,16 @@ def test_import_cli_loads_only_what_every_command_needs():
     ]
 
 
+def test_cli_start_up_loads_no_click():
+    assert _fresh("import sys, pilegame.cli; print(*(m for m in sys.modules if 'click' in m))") == ""
+    run = subprocess.run([sys.executable, "-X", "importtime", "-m", "pilegame", "--version"],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "python -m pilegame, version 0.1.0\n"
+    loaded = [line.rpartition("|")[2].strip() for line in run.stderr.splitlines()]
+    assert "pilegame.cli" in loaded
+    assert [name for name in loaded if "click" in name] == []
+
+
 def test_every_public_name_is_its_submodules_object():
     code = """
 import importlib, pilegame
