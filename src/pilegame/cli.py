@@ -231,7 +231,8 @@ _COMMANDS = {
         "--n": (_ints(1, MAX_PILE), None, "Initial pile size (1 to 2**64)."),
         "--trials": (_ints(1), 100_000, "Number of independent games."),
         "--seed": (_ints(0, MASK64), 0, "Unsigned 64-bit master seed."),
-        "--workers": (_ints(1), 1, "Number of contiguous trial blocks / generator streams."),
+        "--workers": (_ints(1), 1, "Number of contiguous trial blocks, one generator stream"
+                                   " each; at most --trials blocks are made."),
         "--ci-level": (("FLOAT", None, _float), 0.99,
                        "Wilson interval level (0.90, 0.95, 0.99 or 0.999)."),
         **_FORMAT,

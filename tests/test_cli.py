@@ -356,7 +356,7 @@ GOLDEN_STDOUT = {
     "--help": "49712bcc17763ade",
     "--version": "51c8d9f94eea4b43",
     "solve --help": "3e0226b549b6dbb9",
-    "simulate --help": "7668592c0e19a2ad",
+    "simulate --help": "68bae3a1a4fe626d",
     "steps --help": "9f3779d8b6f819f0",
     "verify --help": "78b0e23ac3749108",
     "convergence --help": "11a30128852972a9",
