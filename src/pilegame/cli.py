@@ -5,8 +5,8 @@ one JSON object with ``rows`` and ``meta``), stderr carries diagnostics.
 Rationals are emitted as numerator/denominator integer column pairs so
 downstream tools can reproduce the exact checks; float columns are printed
 with 17 significant digits and are convenience only. Exit codes: 0 success,
-1 verification failure, 2 usage error, 141 stdout closed before the report
-was written (a shell's code for a process that SIGPIPE ends).
+1 verification failure, 2 usage error, 141 stdout closed before the whole
+report was written (a shell's code for a process that SIGPIPE ends).
 
 The parser uses only the standard library: each command is a function with
 a table of its options, which ``_parse`` and ``_values`` read and ``_help``
