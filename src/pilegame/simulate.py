@@ -4,17 +4,12 @@ Determinism contract: every result is a pure function of
 (n, trials, seed, workers, ci_level). Trials are split into
 ``min(workers, trials)`` contiguous blocks; block i draws from a private
 generator stream seeded with splitmix64(seed XOR (i + 1)), and per-block
-tallies are merged by integer addition. Neither OS scheduling nor the size
-of the process pool can therefore affect the numbers -- a single-process
-run of the same partition gives bit-identical output, and so does the
-inline fallback used when the process pool cannot start.
-
-Each block plays its games over ``rng.stream``: the generator's raw
-outputs in stream order, made in lanes that each cover a consecutive run
-of the stream. A block therefore consumes exactly the outputs a scalar
-``Xoshiro256StarStar`` would give ``play_game``, and the tallies are those
-of the scalar loop; only the speed differs. Piles up to 256 read only each
-output's top byte, through one 256-entry table per pile.
+tallies are merged by integer addition. A block is named by its index:
+its size and stream are derived where it is played, here or in a pool
+worker. Neither OS scheduling nor the size of the process pool can
+therefore affect the numbers -- a single-process run of the same
+partition gives bit-identical output, and so does the inline fallback
+used when the process pool cannot start.
 """
 
 from __future__ import annotations
@@ -23,7 +18,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from typing import NamedTuple
 
 from .rng import MASK64, MAX_PILE, _top_bytes, expand_seed, splitmix64, stream
@@ -192,31 +187,38 @@ def stream_seed(seed: int, worker: int) -> int:
     return splitmix64(seed ^ (worker + 1))
 
 
-def block_sizes(trials: int, workers: int) -> list[int]:
-    """Contiguous block sizes: trials split as evenly as possible."""
-    base, extra = divmod(trials, workers)
-    return [base + (1 if i < extra else 0) for i in range(workers)]
-
-
 def _merged(parts) -> tuple[int, int, int]:
-    """The elementwise sum of (d_wins, steps_sum, steps_sq_sum) tallies."""
-    return tuple(map(sum, zip(*parts)))
+    """The elementwise sum of (d_wins, steps_sum, steps_sq_sum) tallies, added as they come."""
+    return reduce(lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]), parts, (0, 0, 0))
 
 
-def _run_blocks(n: int, jobs: list) -> tuple[int, int, int]:
-    """Summed ``_run_block`` tallies of ``jobs``, (size, state) pairs in any order."""
-    return _merged(_run_block(n, size, state) for size, state in jobs)
+def _run_blocks(n: int, trials: int, blocks: int, seed: int,
+                indices: range) -> tuple[int, int, int]:
+    """Summed tallies of the blocks at ``indices``, each made as it is played.
+
+    The one owner of the block layout: the first ``trials % blocks`` blocks
+    play one game more than the others, and block i plays on ``stream_seed(seed, i)``.
+    """
+    base, extra = divmod(trials, blocks)
+    return _merged(_run_block(n, base + (i < extra), expand_seed(stream_seed(seed, i)))
+                   for i in indices)
 
 
-def _pool_parts(n: int, jobs: list) -> list[tuple[int, int, int]]:
-    """``_run_blocks`` in a process pool: one task per process, on one slice of ``jobs``."""
-    # Imported here: the pool machinery costs start-up time on every import
-    # of the package, and most runs never start a pool.
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity where the platform reports one."""
+    if hasattr(os, "sched_getaffinity") and not hasattr(os, "process_cpu_count"):  # < 3.13
+        return len(os.sched_getaffinity(0))
+    return getattr(os, "process_cpu_count", os.cpu_count)() or 1
+
+
+def _pool_parts(n: int, trials: int, blocks: int, seed: int, procs: int) -> list:
+    """``_run_blocks`` in ``procs`` processes: one task each, on every procs-th block."""
+    # Imported here: most runs never start a pool, and its import costs start-up time.
     from concurrent.futures import ProcessPoolExecutor
 
-    procs = min(len(jobs), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=procs) as pool:
-        futures = [pool.submit(_run_blocks, n, jobs[i::procs]) for i in range(procs)]
+        tasks = [range(i, blocks, procs) for i in range(procs)]
+        futures = [pool.submit(_run_blocks, n, trials, blocks, seed, task) for task in tasks]
         return [future.result() for future in futures]
 
 
@@ -236,18 +238,15 @@ def run_trial_sums(n: int, trials: int, seed: int = 0, workers: int = 1) -> Tria
         raise ValueError(f"workers must be >= 1, got {workers}")
     if not 0 <= seed <= MASK64:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    # Workers past ``trials`` would get empty blocks; the others are unchanged.
-    jobs = [
-        (size, expand_seed(stream_seed(seed, i)))
-        for i, size in enumerate(block_sizes(trials, min(workers, trials)))
-    ]
-    if len(jobs) > 1 and trials * max(n.bit_length(), 4) > _INLINE_WORK_LIMIT:
+    blocks = min(workers, trials)  # workers past ``trials`` would get empty blocks
+    procs = min(blocks, _usable_cpus())
+    if procs > 1 and trials * max(n.bit_length(), 4) > _INLINE_WORK_LIMIT:
         try:
-            return TrialSums(*_merged(_pool_parts(n, jobs)))
+            return TrialSums(*_merged(_pool_parts(n, trials, blocks, seed, procs)))
         except (OSError, NotImplementedError) as exc:
             print(f"pilegame: process pool did not start ({exc!r}); "
-                  f"running {len(jobs)} blocks inline", file=sys.stderr)
-    return TrialSums(*_run_blocks(n, jobs))
+                  f"running {blocks} blocks inline", file=sys.stderr)
+    return TrialSums(*_run_blocks(n, trials, blocks, seed, range(blocks)))
 
 
 def _z(ci_level: float) -> float:

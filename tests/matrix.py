@@ -62,7 +62,11 @@ replay = (
 assert _run_block(10, 2000, state) == replay, (_run_block(10, 2000, state), replay)
 print(f"{len(results)}/{len(results)} checks passed, _whole_ints and _run_block ok")
 """
-CLI_SMOKE = [["--version"], ["verify", "--n-max", "50", "--oracle-max", "6"]]
+CLI_SMOKE = [
+    ["--version"],
+    ["verify", "--n-max", "50", "--oracle-max", "6"],
+    ["simulate", "--n", "18446744073709551616", "--trials", "1000", "--seed", "1"],
+]
 
 
 def interpreters() -> list[str]:

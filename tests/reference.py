@@ -21,8 +21,8 @@ game-tree walk that weights each branch by 1/pile as it adds it, and
 ``expected_steps_by_fractions`` the summed E(Z_n) recursion over a
 ``Fraction`` prefix sum: they pin the oracle's one division per pile and
 the steps table's n!-scaled integers. ``block_by_play_game`` plays the same
-role for the simulator's lane-generated stream, and ``csv_report`` for the
-CLI's streamed CSV writer. The ``*_reduced_once`` routes are the bodies of
+role for the simulator's lane-generated stream, ``block_sizes_by_dealing``
+for its block layout, and ``csv_report`` for the CLI's streamed CSV writer. The ``*_reduced_once`` routes are the bodies of
 ``closed_form_table``, ``gf_table`` and ``expected_steps`` from before the
 tables held k!-scaled integers: each value reduced to a ``Fraction`` as it
 is made. ``alternating_bound_over_lcm`` is the ``alternating-bound`` check
@@ -438,6 +438,15 @@ def block_by_play_game(n, count, state):
         steps += game.r_steps
         squares += game.r_steps * game.r_steps
     return wins, steps, squares
+
+
+def block_sizes_by_dealing(trials, blocks):
+    """The games of each of ``blocks`` blocks when ``trials`` are dealt out one at a time.
+
+    Round-robin dealing gives the even contiguous split that ``simulate``
+    derives with ``divmod``: the first ``trials % blocks`` blocks one larger.
+    """
+    return [len(range(i, trials, blocks)) for i in range(blocks)]
 
 
 def csv_report(rows):

@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 import pilegame.cli as cli
 import pilegame.verify
 from pilegame.exact import (
-    FLOAT_SLACK, METHODS, _whole_ints, derangements, solve_recursive, solve_telescoping,
+    E_INVERSE, FLOAT_SLACK, METHODS, _whole_ints, closed_form, derangements, solve_recursive,
+    solve_telescoping,
 )
+from pilegame.simulate import SimResult
 
 from cli_runner import run_cli
 from reference import csv_report
@@ -109,6 +111,7 @@ def _same_cell(text, value):
     "steps --n-max 4",
     "convergence --n-max 4",
     "simulate --n 5 --trials 200 --seed 3",
+    "simulate --n 10001 --trials 200 --seed 3",
 ])
 def test_csv_and_json_agree(args):
     as_csv = _run(*args.split())
@@ -149,6 +152,47 @@ def test_simulate_reports_exact_probability_columns():
     row = _csv_rows(result.output)[0]
     assert (int(row["d_exact_num"]), int(row["d_exact_den"])) == (11, 30)
     assert row["within_ci"] in {"true", "false"}
+
+
+@pytest.mark.parametrize("n", [10_001, 2**64])
+def test_simulate_above_the_cap_leaves_the_exact_cells_empty(n):
+    args = ("simulate", "--n", str(n), "--trials", "1000", "--seed", "1")
+    result = _run(*args)
+    assert result.exit_code == 0, result.output
+    row = _csv_rows(result.output)[0]
+    assert (row["d_exact_num"], row["d_exact_den"]) == ("", "")
+    assert row["within_ci"] in {"true", "false"}
+    row = json.loads(_run(*args, "--format", "json").output)["rows"][0]
+    assert (row["d_exact_num"], row["d_exact_den"]) == (None, None)
+
+
+def test_settled_pile_margin_clears_the_doubles_next_to_one_over_e():
+    """Every D_n with n >= ``_SETTLED_PILE`` lies within 1/(_SETTLED_PILE + 1)!
+    of 1/e, and so does D_60 within 1/61!; the three doubles nearest 1/e
+    lie farther than both margins from D_60, so no double separates D_n from
+    D_21."""
+    d_60, tail = 1 - closed_form(60), Fraction(1, math.factorial(61))
+    margin = Fraction(1, math.factorial(cli._SETTLED_PILE + 1))
+    below, above = math.nextafter(E_INVERSE, 0.0), math.nextafter(E_INVERSE, 1.0)
+    assert Fraction(below) < d_60 - tail and d_60 + tail < Fraction(above)  # 1/e is between
+    for x in (below, E_INVERSE, above):
+        assert abs(Fraction(x) - d_60) > margin + tail, x
+
+
+@pytest.mark.parametrize("n", [22, 10_001])
+def test_within_ci_above_the_settled_pile_is_the_exact_verdict(n, monkeypatch):
+    """CI ends on either side of 1/e: ``within_ci`` reads as D_n itself decides."""
+    d_n = 1 - closed_form(n)
+    below, above = math.nextafter(E_INVERSE, 0.0), math.nextafter(E_INVERSE, 1.0)
+    verdicts = []
+    for low, high in ((below, E_INVERSE), (E_INVERSE, above)):
+        result = SimResult(n=n, trials=10, d_wins=4, p_hat=low, ci_low=low, ci_high=high,
+                           ci_level=0.99, mean_r_steps=1.0, seed=0, workers=1)
+        monkeypatch.setattr(cli, "run_trials", lambda *args, result=result, **kwargs: result)
+        row = _csv_rows(_run("simulate", "--n", str(n), "--trials", "10").output)[0]
+        verdicts.append(row["within_ci"])
+        assert row["within_ci"] == ("true" if Fraction(low) <= d_n <= Fraction(high) else "false")
+    assert sorted(verdicts) == ["false", "true"]
 
 
 def test_simulate_output_is_deterministic():

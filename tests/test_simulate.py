@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from pilegame.simulate import (
     _pool_parts,
     _run_block,
     _run_blocks,
-    block_sizes,
+    _usable_cpus,
     play_game,
     run_trial_sums,
     run_trials,
@@ -33,7 +34,7 @@ from pilegame.simulate import (
     wilson_interval,
 )
 
-from reference import block_by_play_game
+from reference import block_by_play_game, block_sizes_by_dealing
 
 
 class ScriptedRng:
@@ -193,10 +194,11 @@ class _PoolThatCannotStart:
 
 def test_pool_that_cannot_start_falls_back_inline(monkeypatch, capsys):
     n, trials, seed, workers = 5, 100_001, 21, 2
+    monkeypatch.setattr("pilegame.simulate._usable_cpus", lambda: 2)  # a pool is tried on any host
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _PoolThatCannotStart)
     sums = run_trial_sums(n, trials, seed=seed, workers=workers)
     manual = [0, 0, 0]
-    for i, size in enumerate(block_sizes(trials, workers)):
+    for i, size in enumerate(block_sizes_by_dealing(trials, workers)):
         part = _run_block(n, size, expand_seed(stream_seed(seed, i)))
         manual = [a + b for a, b in zip(manual, part)]
     assert (sums.d_wins, sums.steps_sum, sums.steps_sq_sum) == tuple(manual)
@@ -206,12 +208,11 @@ def test_pool_that_cannot_start_falls_back_inline(monkeypatch, capsys):
 
 
 def test_pool_with_more_blocks_than_processes_gives_the_inline_tallies():
-    procs = os.cpu_count() or 1
-    jobs = [(size, expand_seed(stream_seed(11, i)))
-            for i, size in enumerate(block_sizes(2_000, procs + 3))]
-    parts = _pool_parts(10, jobs)
+    procs = _usable_cpus()
+    blocks = procs + 3
+    parts = _pool_parts(10, 2_000, blocks, 11, procs)
     assert len(parts) == procs  # one task per process
-    assert tuple(map(sum, zip(*parts))) == _run_blocks(10, jobs)
+    assert tuple(map(sum, zip(*parts))) == _run_blocks(10, 2_000, blocks, 11, range(blocks))
 
 
 @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
@@ -219,18 +220,20 @@ def test_pool_gives_the_inline_tallies_under_every_start_method(method, monkeypa
     pool = functools.partial(concurrent.futures.ProcessPoolExecutor,
                              mp_context=multiprocessing.get_context(method))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-    jobs = [(size, expand_seed(stream_seed(5, i))) for i, size in enumerate(block_sizes(3_000, 3))]
+    procs = min(3, _usable_cpus())
     for n in (10, 2**40):
-        assert _merged(_pool_parts(n, jobs)) == _run_blocks(n, jobs), f"n={n}"
+        pooled = _merged(_pool_parts(n, 3_000, 3, 5, procs))
+        assert pooled == _run_blocks(n, 3_000, 3, 5, range(3)), f"n={n}"
 
 
 def test_pool_threshold_weighs_trials_by_pile_size(monkeypatch):
     pooled = []
 
-    def pool_parts(n, jobs):
+    def pool_parts(n, trials, blocks, seed, procs):
         pooled.append(n)
-        return [(1, 2, 3)] * len(jobs)
+        return [(1, 2, 3)] * procs
 
+    monkeypatch.setattr("pilegame.simulate._usable_cpus", lambda: 2)  # a pool is tried on any host
     monkeypatch.setattr("pilegame.simulate._pool_parts", pool_parts)
     run_trial_sums(10, 20_000, workers=2)
     assert pooled == []
@@ -245,11 +248,50 @@ def test_import_leaves_the_process_pool_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_block_sizes_partition_evenly():
-    assert block_sizes(10, 3) == [4, 3, 3]
-    assert block_sizes(6, 3) == [2, 2, 2]
-    assert block_sizes(2, 4) == [1, 1, 0, 0]
-    assert sum(block_sizes(999_999, 7)) == 999_999
+def test_no_pool_starts_on_one_usable_cpu(monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool started")
+
+    monkeypatch.setattr("pilegame.simulate._usable_cpus", lambda: 1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    sums = run_trial_sums(2**40, 10_000, seed=4, workers=2)  # over the inline work limit
+    inline = _run_blocks(2**40, 10_000, 2, 4, range(2))
+    assert (sums.d_wins, sums.steps_sum, sums.steps_sq_sum) == inline
+    assert capsys.readouterr().err == ""
+
+
+def test_usable_cpus_counts_at_least_one():
+    assert 1 <= _usable_cpus() <= (os.cpu_count() or 1)
+
+
+def _block_sizes(trials, blocks, monkeypatch):
+    """The size of each block ``_run_blocks`` plays, in order, with no game played."""
+    sizes = []
+    monkeypatch.setattr("pilegame.simulate._run_block",
+                        lambda n, count, state: sizes.append(count) or (0, 0, 0))
+    _run_blocks(10, trials, blocks, 0, range(blocks))
+    return sizes
+
+
+def test_block_sizes_partition_evenly(monkeypatch):
+    assert _block_sizes(10, 3, monkeypatch) == [4, 3, 3]
+    assert _block_sizes(6, 3, monkeypatch) == [2, 2, 2]
+    assert _block_sizes(2, 4, monkeypatch) == [1, 1, 0, 0]
+    assert sum(_block_sizes(999_999, 7, monkeypatch)) == 999_999
+
+
+def test_inline_memory_does_not_grow_with_the_number_of_blocks():
+    def peak(blocks):
+        tracemalloc.start()
+        try:
+            run_trial_sums(10, 4_000, seed=1, workers=blocks)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for blocks in (1_000, 4_000):  # build the caches that each block size uses first
+        run_trial_sums(10, 4_000, seed=1, workers=blocks)
+    assert peak(4_000) - peak(1_000) < 100 * 1024
 
 
 def test_stream_seeds_differ_per_worker():
@@ -266,7 +308,7 @@ def test_run_trial_sums_merges_blocks(n, trials, seed, workers):
     blocks included, and workers past ``trials`` change nothing."""
     sums = run_trial_sums(n, trials, seed=seed, workers=workers)
     manual = [0, 0, 0]
-    for i, size in enumerate(block_sizes(trials, workers)):
+    for i, size in enumerate(block_sizes_by_dealing(trials, workers)):
         part = _run_block(n, size, expand_seed(stream_seed(seed, i)))
         manual = [a + b for a, b in zip(manual, part)]
     assert (sums.d_wins, sums.steps_sum, sums.steps_sq_sum) == tuple(manual)
