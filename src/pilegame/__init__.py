@@ -20,8 +20,8 @@ __version__ = "0.1.0"
 _MODULES = {
     "exact": (
         "E_INVERSE", "FLOAT_SLACK", "METHODS", "LimitGap", "WinTable", "closed_form",
-        "closed_form_table", "derangement_prob", "derangements", "gap_to_limit", "gf_table",
-        "solve", "solve_recursive", "solve_telescoping",
+        "closed_form_table", "derangements", "gap_to_limit", "gf_table", "solve",
+        "solve_recursive", "solve_telescoping",
     ),
     "oracle": (
         "MEMOIZED_MAX_N", "UNMEMOIZED_MAX_N", "oracle_expected_steps", "oracle_win_prob",

@@ -298,17 +298,6 @@ def derangements(n_max: int) -> tuple[int, ...]:
     return tuple(d)
 
 
-def derangement_prob(n: int, counts: tuple[int, ...]) -> Fraction:
-    """Probability d_n/n! that a uniform n-permutation has no fixed point.
-
-    ``counts`` is a tuple from ``derangements``. Equals D_n exactly; raises
-    IndexError when n is outside the table.
-    """
-    if not 0 <= n < len(counts):
-        raise IndexError(f"n={n} outside table range 0..{len(counts) - 1}")
-    return Fraction(counts[n], math.factorial(n))
-
-
 def gf_table(n_max: int) -> WinTable:
     """R_n as coefficients 0..n_max of (sum_i x^i) * (1 - sum_j (-x)^j / j!).
 

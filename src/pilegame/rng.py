@@ -6,8 +6,8 @@ give identical draw sequences on any platform or interpreter version.
 Bounded draws take the high bits of each 64-bit output and reject values
 outside the range, so they are exactly uniform.
 
-``Xoshiro256StarStar`` is the scalar reference. ``stream`` yields the same
-outputs faster, in batches of lanes, each on its own consecutive run of
+``_step_lanes`` is the one implementation of the step. ``stream`` makes the
+outputs with it in batches of lanes, each on its own consecutive run of
 ``LANE_STEPS`` outputs and all stepped at once with one big-int operation
 per term of the step; a batch keeps 16 bytes per output. Run 0 is one lane,
 made in short pieces. The state update is linear over GF(2), so the state
@@ -79,39 +79,19 @@ def expand_seed(seed: int) -> tuple[int, int, int, int]:
 
 
 class Xoshiro256StarStar:
-    """xoshiro256** generator; fully determined by its 64-bit seed."""
+    """xoshiro256** generator reading ``stream(expand_seed(seed))`` in order.
 
-    __slots__ = ("_s0", "_s1", "_s2", "_s3")
+    A generator is an iterator over its stream: a copy of one shares the
+    stream, and a generator cannot be pickled."""
+
+    __slots__ = ("_outputs",)
 
     def __init__(self, seed: int) -> None:
-        self._s0, self._s1, self._s2, self._s3 = expand_seed(seed)
-
-    @classmethod
-    def _from_state(cls, state: tuple[int, int, int, int]) -> Xoshiro256StarStar:
-        """A generator set to the 256-bit ``state``, with no seed expanded first."""
-        rng = cls.__new__(cls)
-        rng._s0, rng._s1, rng._s2, rng._s3 = state
-        return rng
-
-    @property
-    def state(self) -> tuple[int, int, int, int]:
-        """Current 256-bit state as four 64-bit words."""
-        return (self._s0, self._s1, self._s2, self._s3)
+        self._outputs = stream(expand_seed(seed))
 
     def next_u64(self) -> int:
         """Next raw 64-bit output."""
-        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        x = (s1 * 5) & MASK64
-        result = (((x << 7) | (x >> 57)) & MASK64) * 9 & MASK64
-        t = (s1 << 17) & MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = ((s3 << 45) | (s3 >> 19)) & MASK64
-        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
-        return result
+        return next(self._outputs)
 
     def draw(self, m: int) -> int:
         """Uniform draw from {1, ..., m}.
@@ -158,7 +138,7 @@ def _step_lanes(
 ) -> list[int]:
     """Advance every packed lane ``steps`` times; return the packed end states.
 
-    This is ``next_u64`` on all ``slot``-byte slots at once. Every state
+    The xoshiro256** step, on all ``slot``-byte slots at once. Every state
     word stays below bit 64 of its slot (each shift or rotation masks the
     bits it moves first, or the bits it brings in after), so no lane reaches
     its neighbour, even in 8-byte slots. If ``emit`` is given (``slot`` >= 10,
@@ -252,8 +232,8 @@ def _outputs(lanes: int, steps: int, packed: list[int]) -> tuple[list[int], list
 def stream(state: tuple[int, int, int, int]) -> Iterator[int]:
     """Endless raw outputs of the xoshiro256** stream that starts in ``state``.
 
-    The same values, in the same order, as successive ``next_u64`` calls of
-    a ``Xoshiro256StarStar`` in that state, made in lanes (see ``_runs``).
+    The outputs of the step taken again and again from ``state``, in order,
+    made in lanes (see ``_runs``).
     """
     return chain.from_iterable(_runs(state, _SLOT_BYTES, _outputs))
 

@@ -127,16 +127,16 @@ def _run_block(n: int, count: int, state: tuple[int, int, int, int]) -> tuple[in
     """Play ``count`` games from pile ``n`` on one generator stream.
 
     Hot path. The outputs come from ``rng.stream(state)``, which says how
-    they are made. They are the stream a scalar generator would give, in its
-    order, so this loop consumes it exactly like ``play_game`` over a
-    ``Xoshiro256StarStar`` in ``state`` (test_simulate pins that
-    equivalence). A draw for pile p keeps the top bits of one output that
-    can hold p - 1 and rejects values >= p. Each accepted draw plays a whole
-    round, R's draw and D's forced move. Piles up to 256 keep at most the
-    top byte (``rng._top_bytes``), which indexes the pile's ``_pile_table``.
-    Larger piles take the draw and D's counter in one subtraction; a pile of
-    -1 or 0 then ends the game. Returns (deterministic wins, sum of R-move
-    counts, sum of squared counts).
+    they are made: the xoshiro256** step taken again and again from
+    ``state``. This loop consumes them exactly like ``play_game`` over a
+    generator that takes that step once per output (test_simulate pins the
+    two against each other). A draw for pile p keeps the top bits of one
+    output that can hold p - 1 and rejects values >= p. Each accepted draw
+    plays a whole round, R's draw and D's forced move. Piles up to 256 keep
+    at most the top byte (``rng._top_bytes``), which indexes the pile's
+    ``_pile_table``. Larger piles take the draw and D's counter in one
+    subtraction; a pile of -1 or 0 then ends the game. Returns
+    (deterministic wins, sum of R-move counts, sum of squared counts).
     """
     d_wins = steps_sum = steps_sq_sum = r_steps = 0
     if count < 1:

@@ -12,10 +12,12 @@ load on other 3.x versions, and nothing is installed. For each interpreter:
 * able to import pytest and hypothesis that way: tier-1 with the workflow's
   flags (``-X dev``, ``ResourceWarning`` and ``DeprecationWarning`` as
   errors, no cache provider);
-* otherwise: a stdlib smoke with only ``src`` on the path, namely
-  ``run_checks(200, 12)``, ``_whole_ints`` printing an integer past the
-  int-to-str digit limit, one ``_run_block`` against a ``play_game``
-  replay of the same stream, then the CLI (it needs no other package):
+* otherwise: a stdlib smoke with only ``src`` and ``tests`` on the path,
+  namely ``run_checks(200, 12)``, ``_whole_ints`` printing an integer past
+  the int-to-str digit limit, one ``_run_block`` against a ``play_game``
+  replay of the same stream on the tests' scalar reference generator
+  (``reference.py`` imports only the standard library and the package),
+  then the CLI (it needs no other package):
   ``python -m pilegame --version`` and ``python -m pilegame verify
   --n-max 50 --oracle-max 6``.
 
@@ -41,9 +43,10 @@ VERSION = "import sys; print('%d.%d.%d' % sys.version_info[:3])"
 SMOKE = """
 import sys
 from pilegame.exact import _whole_ints
-from pilegame.rng import Xoshiro256StarStar, expand_seed
+from pilegame.rng import expand_seed
 from pilegame.simulate import _run_block, play_game
 from pilegame.verify import run_checks
+from reference import ScalarXoshiro
 
 results = run_checks(200, 12)
 assert all(r.passed for r in results), [str(r) for r in results if not r.passed]
@@ -52,7 +55,7 @@ with _whole_ints():
     assert len(str(10 ** 5000)) == 5001
 assert not limit or sys.get_int_max_str_digits() == limit
 state = expand_seed(7)
-rng = Xoshiro256StarStar._from_state(state)
+rng = ScalarXoshiro._from_state(state)
 games = [play_game(10, rng) for _ in range(2000)]
 replay = (
     sum(g.winner == "D" for g in games),
@@ -95,6 +98,7 @@ def run(python: str, args: list[str], pythonpath: str) -> tuple[int, str]:
 def main() -> int:
     src = str(ROOT / "src")
     tools = os.pathsep.join([src, sysconfig.get_paths()["purelib"]])
+    smoke = os.pathsep.join([src, str(ROOT / "tests")])
     failed = False
     for python in interpreters():
         code, version = run(python, ["-c", VERSION], src)
@@ -106,7 +110,7 @@ def main() -> int:
             code, last = run(python, TIER1, tools)
             line, failed = f"tier-1: {last}", failed or code != 0
         else:
-            runs = [run(python, args, src)
+            runs = [run(python, args, smoke)
                     for args in (["-c", SMOKE], *(["-m", "pilegame", *cli] for cli in CLI_SMOKE))]
             line = "smoke (no pytest): " + "; ".join(last for _, last in runs)
             failed = failed or any(code for code, _ in runs)

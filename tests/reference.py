@@ -20,9 +20,12 @@ pins the package's one Horner pass. ``oracle_walk_per_branch`` is the
 game-tree walk that weights each branch by 1/pile as it adds it, and
 ``expected_steps_by_fractions`` the summed E(Z_n) recursion over a
 ``Fraction`` prefix sum: they pin the oracle's one division per pile and
-the steps table's n!-scaled integers. ``block_by_play_game`` plays the same
-role for the simulator's lane-generated stream, ``block_sizes_by_dealing``
-for its block layout, and ``csv_report`` for the CLI's streamed CSV writer. The ``*_reduced_once`` routes are the bodies of
+the steps table's n!-scaled integers. ``ScalarXoshiro`` takes the
+xoshiro256** step once per output: it pins the lanes that make every output
+of the package's generator. ``block_by_play_game`` replays it through
+``play_game`` to pin the simulator's block loop, ``block_sizes_by_dealing``
+pins its block layout, and ``csv_report`` the CLI's streamed CSV writer.
+The ``*_reduced_once`` routes are the bodies of
 ``closed_form_table``, ``gf_table`` and ``expected_steps`` from before the
 tables held k!-scaled integers: each value reduced to a ``Fraction`` as it
 is made. ``alternating_bound_over_lcm`` is the ``alternating-bound`` check
@@ -39,7 +42,7 @@ from itertools import accumulate, permutations
 from operator import mul
 
 from pilegame.cli import _csv_cell
-from pilegame.rng import Xoshiro256StarStar
+from pilegame.rng import MASK64, Xoshiro256StarStar, expand_seed
 from pilegame.simulate import play_game
 
 # Random-player win probabilities R_n from exhaustive game-tree expansion.
@@ -428,9 +431,49 @@ def expected_steps_by_fractions(n_max: int) -> tuple[Fraction, ...]:
     return tuple(ez)
 
 
+class ScalarXoshiro(Xoshiro256StarStar):
+    """xoshiro256** stepped once per output, from a seed or from any 256-bit state.
+
+    The scalar step that ``rng._step_lanes`` takes on every lane at once;
+    ``draw`` is the package's, over these outputs.
+    """
+
+    __slots__ = ("_s0", "_s1", "_s2", "_s3")
+
+    def __init__(self, seed: int) -> None:
+        self._s0, self._s1, self._s2, self._s3 = expand_seed(seed)
+
+    @classmethod
+    def _from_state(cls, state: tuple[int, int, int, int]) -> "ScalarXoshiro":
+        """A generator set to the 256-bit ``state``, with no seed expanded first."""
+        rng = cls.__new__(cls)
+        rng._s0, rng._s1, rng._s2, rng._s3 = state
+        return rng
+
+    @property
+    def state(self) -> tuple[int, int, int, int]:
+        """Current 256-bit state as four 64-bit words."""
+        return (self._s0, self._s1, self._s2, self._s3)
+
+    def next_u64(self) -> int:
+        """Next raw 64-bit output."""
+        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
+        x = (s1 * 5) & MASK64
+        result = (((x << 7) | (x >> 57)) & MASK64) * 9 & MASK64
+        t = (s1 << 17) & MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = ((s3 << 45) | (s3 >> 19)) & MASK64
+        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
+        return result
+
+
 def block_by_play_game(n, count, state):
     """``simulate._run_block``'s tallies from ``play_game`` on the scalar generator."""
-    rng = Xoshiro256StarStar._from_state(state)
+    rng = ScalarXoshiro._from_state(state)
     wins = steps = squares = 0
     for _ in range(count):
         game = play_game(n, rng)

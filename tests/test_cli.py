@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,7 +22,8 @@ from pilegame.exact import (
     E_INVERSE, FLOAT_SLACK, METHODS, _whole_ints, closed_form, derangements, solve_recursive,
     solve_telescoping,
 )
-from pilegame.simulate import SimResult
+from pilegame.rng import MAX_PILE
+from pilegame.simulate import Z_BY_LEVEL, SimResult
 
 from cli_runner import run_cli
 from reference import csv_report
@@ -389,6 +391,70 @@ USAGE_ERRORS = [
 @pytest.mark.parametrize("args, says", USAGE_ERRORS)
 def test_usage_error(args, says):
     _assert_usage_error(*args.split(), says=says)
+
+
+def _head(command=""):
+    """What a usage error prints above its ``Error:`` line."""
+    if not command:
+        return "Usage: main [OPTIONS] COMMAND [ARGS]...\nTry 'main --help' for help.\n\n"
+    return f"Usage: main {command} [OPTIONS]\nTry 'main {command} --help' for help.\n\n"
+
+
+#: The parser's other ways to end: arguments, exit code, and the whole of
+#: stderr, frozen from the program (these match click 8's messages).
+PARSER_ENDINGS = [
+    ("solve --n-max abc", 2,
+     _head("solve") + "Error: Invalid value for '--n-max': 'abc' is not a valid integer range.\n"),
+    ("simulate --n 3 --ci-level abc", 2,
+     _head("simulate") + "Error: Invalid value for '--ci-level': 'abc' is not a valid float.\n"),
+    # After "--" every argument is an operand, at the top level and in a command.
+    ("-- solve --n-max x", 2,
+     _head("solve") + "Error: Invalid value for '--n-max': 'x' is not a valid integer range.\n"),
+    ("solve --n-max 3 -- --format", 2,
+     _head("solve") + "Error: Got unexpected extra argument (--format)\n"),
+    # A command's operands may come between its options.
+    ("solve extra --n-max 3", 2, _head("solve") + "Error: Got unexpected extra argument (extra)\n"),
+    ("solve --n-max 3 a b", 2, _head("solve") + "Error: Got unexpected extra arguments (a b)\n"),
+    ("solve -x", 2, _head("solve") + "Error: No such option '-x'.\n"),
+    ("solve -nfoo", 2, _head("solve") + "Error: No such option '-n'.\n"),
+    ("solve --n-mx 3", 2,
+     _head("solve") + "Error: No such option '--n-mx'. Did you mean '--n-max'?\n"),
+    ("verify --n-maxx 3", 2, _head("verify")
+     + "Error: No such option '--n-maxx'. (Did you mean one of: '--n-max', '--oracle-max'?)\n"),
+    ("solve --zzz", 2, _head("solve") + "Error: No such option '--zzz'.\n"),
+    ("--versio", 2, _head() + "Error: No such option '--versio'. Did you mean '--version'?\n"),
+    ("solve --help=1", 2, _head("solve") + "Error: Option '--help' does not take a value.\n"),
+    ("--version=1", 2, _head() + "Error: Option '--version' does not take a value.\n"),
+    ("solve --n-max", 2, _head("solve") + "Error: Option '--n-max' requires an argument.\n"),
+    # Ctrl-C while a command runs (see the test).
+    ("verify", 1, "\nAborted!\n"),
+]
+
+
+@pytest.mark.parametrize("args, code, stderr", PARSER_ENDINGS)
+def test_parser_ending(args, code, stderr, monkeypatch):
+    """Every row prints nothing on stdout. ``run_checks`` raises
+    ``KeyboardInterrupt``, as Ctrl-C during ``verify`` does; every other row
+    ends before a command runs."""
+
+    def interrupted(**kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_checks", interrupted)
+    result = _run(*args.split())
+    assert (result.exit_code, result.stdout, result.stderr) == (code, "", stderr)
+
+
+def test_help_restates_the_values_it_names():
+    """Help text that repeats a value defined elsewhere: ``--ci-level`` lists
+    the keys of ``Z_BY_LEVEL``, and ``--n`` names ``MAX_PILE`` and its own range."""
+    options = cli._COMMANDS["simulate"][1]
+    levels = re.findall(r"\d+\.\d+", options["--ci-level"][2])
+    assert list(map(float, levels)) == sorted(Z_BY_LEVEL)
+    low, base, power = map(int, re.fullmatch(r"Initial pile size \((\d+) to (\d+)\*\*(\d+)\)\.",
+                                             options["--n"][2]).groups())
+    assert base ** power == MAX_PILE
+    assert options["--n"][0][1] == f"{low}<=x<={MAX_PILE}"
 
 
 #: First 16 hex digits of the SHA-256 of stdout. They pin header order, JSON

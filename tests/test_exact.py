@@ -17,7 +17,6 @@ from pilegame.exact import (
     _whole_ints,
     closed_form,
     closed_form_table,
-    derangement_prob,
     derangements,
     gap_to_limit,
     gf_table,
@@ -94,6 +93,7 @@ def test_closed_form_values():
 def test_closed_form_complement_is_derangement_prob():
     # D_4 = 3/8 = 9/24 = d_4/4!
     assert 1 - closed_form(4) == Fraction(9, 24)
+    assert 1 - closed_form(4) == Fraction(derangements(4)[4], math.factorial(4))
 
 
 def test_gf_coefficients_values():
@@ -224,19 +224,12 @@ def test_derangement_series_identity():
 
 
 def test_derangement_prob_values():
+    # d_n/n!, as README's library example writes it.
     table = derangements(10)
-    assert derangement_prob(0, table) == 1
-    assert derangement_prob(2, table) == Fraction(1, 2)
-    assert derangement_prob(3, table) == Fraction(1, 3)
-    assert derangement_prob(10, table) == D10_PROB_REDUCED
-
-
-def test_derangement_prob_out_of_range():
-    table = derangements(4)
-    with pytest.raises(IndexError):
-        derangement_prob(5, table)
-    with pytest.raises(IndexError):
-        derangement_prob(-1, table)
+    assert Fraction(table[0], math.factorial(0)) == 1
+    assert Fraction(table[2], math.factorial(2)) == Fraction(1, 2)
+    assert Fraction(table[3], math.factorial(3)) == Fraction(1, 3)
+    assert Fraction(table[10], math.factorial(10)) == D10_PROB_REDUCED
 
 
 def test_derangement_identity_against_solver():

@@ -30,14 +30,33 @@ def test_import_cli_loads_only_what_every_command_needs():
     ]
 
 
+#: The pilegame modules ``python -m pilegame`` imports for each command
+#: below, and what the command prints. Neither loads the simulator, the
+#: steps recursion or the checks; a change to what start-up imports shows.
+START_UP_MODULES = ["pilegame", "pilegame.cli", "pilegame.exact", "pilegame.oracle", "pilegame.rng"]
+START_UP_STDOUT = {
+    "--version": "python -m pilegame, version 0.1.0\n",
+    "solve --n-max 3": (
+        "n,d_prob_num,d_prob_den,d_prob_float,gap_to_e_inv,d_n,method\n"
+        "0,1,1,1,0.63212055882855767,1,recursive\n"
+        "1,0,1,0,0.36787944117144233,0,recursive\n"
+        "2,1,2,0.5,0.13212055882855767,1,recursive\n"
+        "3,1,3,0.33333333333333331,0.034546107838109019,2,recursive\n"
+    ),
+}
+
+
 def test_cli_start_up_loads_no_click():
     assert _fresh("import sys, pilegame.cli; print(*(m for m in sys.modules if 'click' in m))") == ""
-    run = subprocess.run([sys.executable, "-X", "importtime", "-m", "pilegame", "--version"],
-                         capture_output=True, text=True, check=True)
-    assert run.stdout == "python -m pilegame, version 0.1.0\n"
-    loaded = [line.rpartition("|")[2].strip() for line in run.stderr.splitlines()]
-    assert "pilegame.cli" in loaded
-    assert [name for name in loaded if "click" in name] == []
+    for args, stdout in START_UP_STDOUT.items():
+        run = subprocess.run([sys.executable, "-X", "importtime", "-m", "pilegame", *args.split()],
+                             capture_output=True, text=True, check=True)
+        assert run.stdout == stdout, args
+        loaded = [line.rpartition("|")[2].strip() for line in run.stderr.splitlines()]
+        assert "pilegame.cli" in loaded
+        assert [name for name in loaded if "click" in name] == []
+        assert sorted(name for name in loaded if name.partition(".")[0] == "pilegame") == (
+            START_UP_MODULES), args
 
 
 def test_every_public_name_is_its_submodules_object():
@@ -51,7 +70,7 @@ for name in pilegame.__all__:
 assert set(pilegame.__all__) <= set(dir(pilegame))
 print(len(pilegame.__all__))
 """
-    assert _fresh(code) == "35"  # 34 names and ``__version__``
+    assert _fresh(code) == "34"  # 33 names and ``__version__``
 
 
 def test_star_import_binds_every_public_name():

@@ -21,6 +21,8 @@ from pilegame.rng import (
     stream,
 )
 
+from reference import ScalarXoshiro
+
 #: Any valid xoshiro256** state: four 64-bit words, not all zero.
 states = st.tuples(*[st.integers(0, MASK64)] * 4).filter(any)
 
@@ -99,9 +101,10 @@ def test_draw_stays_in_range():
 
 def test_draw_of_one_is_forced_but_advances_state():
     g = Xoshiro256StarStar(5)
-    before = g.state
     assert g.draw(1) == 1
-    assert g.state != before
+    fresh = Xoshiro256StarStar(5)
+    fresh.next_u64()
+    assert g.next_u64() == fresh.next_u64()  # the draw read the first output
 
 
 def test_draw_rejects_bad_bound():
@@ -138,10 +141,10 @@ def test_draw_covers_rejection_path():
 
 @given(seed=st.integers(0, MASK64), skip=st.integers(0, 5))
 def test_from_state_continues_a_seeded_generator(seed, skip):
-    seeded = Xoshiro256StarStar(seed)
+    seeded = ScalarXoshiro(seed)
     for _ in range(skip):
         seeded.next_u64()
-    copy = Xoshiro256StarStar._from_state(seeded.state)
+    copy = ScalarXoshiro._from_state(seeded.state)
     assert copy.state == seeded.state
     assert [copy.next_u64() for _ in range(8)] == [seeded.next_u64() for _ in range(8)]
 
@@ -153,7 +156,7 @@ def _as_int(state):
 @settings(deadline=None)
 @given(states)
 def test_jump_equals_lane_steps_scalar_steps(state):
-    rng = Xoshiro256StarStar._from_state(state)
+    rng = ScalarXoshiro._from_state(state)
     for _ in range(LANE_STEPS):
         rng.next_u64()
     assert jump(_as_int(state)) == _as_int(rng.state)
@@ -166,8 +169,25 @@ def test_stream_equals_successive_next_u64(state):
     # MAX_LANES each: 1 + 2 + ... + MAX_LANES = 2 * MAX_LANES - 1 runs go
     # through every growing batch, then two full ones follow.
     count = LANE_STEPS * (2 * MAX_LANES - 1 + 2 * MAX_LANES)
-    rng = Xoshiro256StarStar._from_state(state)
+    rng = ScalarXoshiro._from_state(state)
     assert list(islice(stream(state), count)) == [rng.next_u64() for _ in range(count)]
+
+
+#: Bounds that cover forced, exact-power and rejecting draws, from one bit to 64.
+DRAW_BOUNDS = (1, 2, 3, 10, 100, 256, 257, 2**40, 2**63 + 1, MAX_PILE)
+
+
+@pytest.mark.parametrize("seed", [0, 1, MASK64, 12345])
+def test_generator_reads_the_scalar_sequence_through_two_full_batches(seed):
+    # Batches of 1, 2, ..., MAX_LANES lanes, then two of MAX_LANES: the
+    # generator's stream against the scalar step, as outputs and as draws
+    # (each draw reads at least one output, so the draws read as far).
+    count = LANE_STEPS * (4 * MAX_LANES - 1)
+    ours, scalar = Xoshiro256StarStar(seed), ScalarXoshiro(seed)
+    assert [ours.next_u64() for _ in range(count)] == [scalar.next_u64() for _ in range(count)]
+    ours, scalar = Xoshiro256StarStar(seed), ScalarXoshiro(seed)
+    bounds = [DRAW_BOUNDS[i % len(DRAW_BOUNDS)] for i in range(count)]
+    assert list(map(ours.draw, bounds)) == list(map(scalar.draw, bounds))
 
 
 @settings(max_examples=10, deadline=None)

@@ -34,7 +34,7 @@ from pilegame.simulate import (
     wilson_interval,
 )
 
-from reference import block_by_play_game, block_sizes_by_dealing
+from reference import ScalarXoshiro, block_by_play_game, block_sizes_by_dealing
 
 
 class ScriptedRng:
@@ -52,7 +52,7 @@ class ScriptedRng:
 
 
 class RecordingXoshiro(Xoshiro256StarStar):
-    """The scalar generator, recording each (pile, draw) pair it serves."""
+    """The package's generator, recording each (pile, draw) pair it serves."""
 
     def __init__(self, seed):
         super().__init__(seed)
@@ -147,8 +147,8 @@ def test_block_matches_play_game_across_batches(n, seed, data):
     assert _run_block(n, count, state) == block_by_play_game(n, count, state)
 
 
-class CountingXoshiro(Xoshiro256StarStar):
-    """The scalar generator, counting its raw outputs."""
+class CountingXoshiro(ScalarXoshiro):
+    """The scalar reference generator, counting its raw outputs."""
 
     outputs = 0
 
