@@ -103,11 +103,19 @@ class _FactorialRow:
     the other on first read and cached on the instance: ``scaled`` with one
     ``divmod`` per value, the Fractions with one gcd per value. Value i of
     the table belongs to k = i + ``_FIRST``. ``dataclasses.replace`` goes
-    through the constructor, so a copy never carries the old row.
+    through the constructor, so a copy never carries the old row. It owns
+    ``n_max``, the constructor's check, k! and the steps (``_difference``).
     """
 
     _VALUES: str  # name of the dataclass field that holds the Fractions
     _FIRST: int  # k of the table's first value, 0 or 1
+    _EMPTY: str  # the constructor's message for a table with no values
+
+    def __post_init__(self) -> None:
+        values = getattr(self, self._VALUES)
+        if not values:
+            raise ValueError(self._EMPTY)
+        self._check(value.as_integer_ratio() for value in values)
 
     @classmethod
     def _over_factorials(cls, scaled: tuple[int, ...], **fields):
@@ -124,9 +132,10 @@ class _FactorialRow:
         """k! for the table's first ``count`` values."""
         return accumulate(range(self._FIRST + 1, self._FIRST + count), mul, initial=1)
 
-    def _length(self) -> int:
-        """Number of values, read from whichever form the table was built from."""
-        return len(vars(self).get(self._VALUES) or self.scaled)
+    @property
+    def n_max(self) -> int:
+        """Largest pile size in the table, from whichever form it was built from."""
+        return len(vars(self).get(self._VALUES) or self.scaled) + self._FIRST - 1
 
     def __getattr__(self, name: str):
         # Reached only for an attribute the instance lacks: the Fractions of
@@ -143,6 +152,11 @@ class _FactorialRow:
         k!, as on every table a route or solver builds, else a Fraction."""
         values = getattr(self, self._VALUES)
         return tuple(map(_times, self._factorials(len(values)), values))
+
+    def _difference(self, k: int) -> int | Fraction:
+        """k!*(v_k - v_{k-1}) = a_k - k*a_{k-1}, for k in ``_FIRST`` + 1..n_max."""
+        row, i = self.scaled, k - self._FIRST
+        return row[i] - k * row[i - 1]
 
 
 @dataclass(frozen=True)
@@ -161,11 +175,7 @@ class WinTable(_FactorialRow):
 
     _VALUES = "r"
     _FIRST = 0
-
-    def __post_init__(self) -> None:
-        if not self.r:
-            raise ValueError("r is empty; a table holds at least R_0")
-        self._check(value.as_integer_ratio() for value in self.r)
+    _EMPTY = "r is empty; a table holds at least R_0"
 
     def _check(self, pairs: Iterator[tuple[int, int]]) -> None:
         if self.method not in METHODS:
@@ -173,11 +183,6 @@ class WinTable(_FactorialRow):
         for n, (num, den) in enumerate(pairs):
             if not 0 <= num <= den:
                 raise ValueError(f"R_{n} = {Fraction(num, den)} is outside [0, 1]")
-
-    @property
-    def n_max(self) -> int:
-        """Largest pile size in the table."""
-        return self._length() - 1
 
     def d(self, n: int) -> Fraction:
         """Deterministic player's win probability D_n = 1 - R_n."""

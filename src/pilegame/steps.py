@@ -43,11 +43,7 @@ class StepsTable(_FactorialRow):
 
     _VALUES = "ez"
     _FIRST = 1
-
-    def __post_init__(self) -> None:
-        if not self.ez:
-            raise ValueError("ez is empty; a table holds at least E(Z_1)")
-        self._check(value.as_integer_ratio() for value in self.ez)
+    _EMPTY = "ez is empty; a table holds at least E(Z_1)"
 
     def _check(self, pairs: Iterator[tuple[int, int]]) -> None:
         for n, (num, den) in enumerate(pairs, start=1):
@@ -55,11 +51,6 @@ class StepsTable(_FactorialRow):
                 raise ValueError(f"E(Z_{n}) must be 1, got {Fraction(num, den)}")
             if num < den:
                 raise ValueError("every E(Z_n) is at least 1: one move always happens")
-
-    @property
-    def n_max(self) -> int:
-        """Largest pile size in the table."""
-        return self._length()
 
     def ez_at(self, n: int) -> Fraction:
         """E(Z_n); n must be in 1..n_max."""

@@ -34,11 +34,14 @@ rows, n!*R_n and n!*E(Z_n), which a route hands over as built and a table of
 ``Fraction``s makes with one ``divmod`` per value, and ``_times`` for the
 E(Q_n) and the game tree's values. A scaled value is an int where the
 value's denominator divides n!, as on every table ``run_checks`` builds, and
-otherwise the exact ``Fraction`` n!*value. So each check is one expression,
-the row identity itself, e.g. n!*E(Z_n) - n*((n-1)!*E(Z_{n-1})) = n!*E(Q_n),
-exact on ints and ``Fraction``s alike: on honest inputs every check runs on
-integers, and no value is reduced to a ``Fraction`` unless a check fails and
-its detail prints it.
+otherwise the exact ``Fraction`` n!*value. A table also gives its n!
+(``_factorials``) and its steps a_n - n*a_{n-1} (``_difference``); only the
+E(Q_n), a route's tuple and not a table, keep a running n! of their own.
+So each check is one expression, the row identity itself, e.g.
+n!*E(Z_n) - n*((n-1)!*E(Z_{n-1})) = n!*E(Q_n), exact on ints and
+``Fraction``s alike: on honest inputs every check runs on integers, and no
+value is reduced to a ``Fraction`` unless a check fails and its detail
+prints it.
 """
 
 from __future__ import annotations
@@ -124,9 +127,8 @@ def check_derangement_identity(table: WinTable, counts: tuple[int, ...]) -> Chec
             "derangement-identity",
             f"table sizes differ: {table.n_max} vs {len(counts) - 1}",
         )
-    fact = 1  # n!
-    for n, (scaled, d_n) in enumerate(zip(table.scaled, counts)):
-        fact *= max(n, 1)
+    rows = zip(table.scaled, counts, table._factorials(len(counts)))
+    for n, (scaled, d_n, fact) in enumerate(rows):
         if fact - scaled != d_n:
             return _fail(
                 "derangement-identity",
@@ -143,10 +145,9 @@ def check_telescoping_differences(table: WinTable) -> CheckResult:
     table. Where R_0 is not an integer the row holds ``Fraction``s, and the
     same expression decides it.
     """
-    row = table.scaled
     for n in range(1, table.n_max + 1):
         step = 1 if n % 2 else -1
-        if row[n] - n * row[n - 1] != step:
+        if table._difference(n) != step:
             return _fail(
                 "telescoping-differences",
                 f"R_{n} - R_{n - 1} = {table.r[n] - table.r[n - 1]}, "
@@ -169,9 +170,8 @@ def check_oracle_win_prob(table: WinTable, oracle_max: int, memoize: bool) -> Ch
 
 def check_oracle_steps(steps: StepsTable, oracle_max: int) -> CheckResult:
     """The game tree's E(Z_n) equals the table's, compared as n!*E(Z_n)."""
-    fact = 1  # n!
-    for n in range(1, min(oracle_max, steps.n_max) + 1):
-        fact *= n
+    piles = range(1, min(oracle_max, steps.n_max) + 1)
+    for n, fact in zip(piles, steps._factorials(steps.n_max)):
         tree_value = oracle_expected_steps(n)
         if _times(fact, tree_value) != steps.scaled[n - 1]:
             return _fail(
@@ -221,11 +221,10 @@ def check_steps_vs_q(steps: StepsTable, qseq: tuple[Fraction, ...]) -> CheckResu
             "steps-vs-q-recursion",
             f"table sizes differ: {steps.n_max} vs {len(qseq) + 1}",
         )
-    row = steps.scaled
-    fact = 1  # n!
+    fact = 1  # n!, for E(Q_n): q_sequence is a route's tuple, not a table
     for n, value in enumerate(qseq, start=2):
         fact *= n
-        if row[n - 1] - n * row[n - 2] != _times(fact, value):
+        if steps._difference(n) != _times(fact, value):
             return _fail(
                 "steps-vs-q-recursion",
                 f"difference table gives E(Q_{n}) = {steps.eq_at(n)}, "
@@ -238,8 +237,9 @@ def check_alternating_bound(table: WinTable) -> CheckResult:
     """|D_n - D_m| <= 1/(n+1)! for every pair n < m, in exact arithmetic.
 
     Decided on the table's scaled row a_k = k!*R_k through its steps
-    e_k = a_k - k*a_{k-1} = k!*(R_k - R_{k-1}), which are +-1 on an honest
-    table. P_n = (n+1)!*max_{m>n} (R_m - R_n), and N_n the same with min,
+    e_k = a_k - k*a_{k-1} = k!*(R_k - R_{k-1}), read from
+    ``WinTable._difference``, which are +-1 on an honest table.
+    P_n = (n+1)!*max_{m>n} (R_m - R_n), and N_n the same with min,
     follow backward from X = Y = 0: P_n = e_{n+1} + X/(n+2) and
     N_n = e_{n+1} + Y/(n+2), then X = max(0, P_n) and Y = min(0, N_n). Row n
     fails exactly when P_n > 1 or N_n < -1. X and Y are kept as unreduced
@@ -258,7 +258,7 @@ def check_alternating_bound(table: WinTable) -> CheckResult:
     x_num = y_num = 0  # X = x_num/x_den >= 0 and Y = y_num/y_den <= 0
     x_den = y_den = 1
     for n in range(table.n_max - 1, -1, -1):
-        e = a[n + 1] - (n + 1) * a[n]
+        e = table._difference(n + 1)
         p_den, q_den = x_den * (n + 2), y_den * (n + 2)
         p_num, q_num = e * p_den + x_num, e * q_den + y_num  # P_n and N_n
         if p_num > p_den or q_num < -q_den:

@@ -9,9 +9,10 @@ site-packages of the interpreter that runs this script, put on
 load on other 3.x versions, and nothing is installed. For each interpreter:
 
 * below the package's ``requires-python`` (3.10): skipped;
-* able to import pytest and hypothesis that way: tier-1 with the workflow's
-  flags (``-X dev``, ``ResourceWarning`` and ``DeprecationWarning`` as
-  errors, no cache provider);
+* able to import pytest and hypothesis that way: tier-1 with the
+  arguments of the workflow's tier-1 step (``-X dev``, ``ResourceWarning``
+  and ``DeprecationWarning`` as errors, ``--durations=10``), which
+  ``test_package.py`` holds equal;
 * otherwise: a stdlib smoke with only ``src`` and ``tests`` on the path,
   namely ``run_checks(200, 12)``, ``_whole_ints`` printing an integer past
   the int-to-str digit limit, one ``_run_block`` against a ``play_game``
@@ -37,7 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 REQUIRES = (3, 10)
 TIER1 = [
     "-X", "dev", "-W", "error::ResourceWarning", "-W", "error::DeprecationWarning",
-    "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
+    "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10",
 ]
 VERSION = "import sys; print('%d.%d.%d' % sys.version_info[:3])"
 SMOKE = """

@@ -13,17 +13,18 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pilegame.cli as cli
 import pilegame.verify
+from pilegame.oracle import MEMOIZED_MAX_N
 from pilegame.exact import (
     E_INVERSE, FLOAT_SLACK, METHODS, _whole_ints, closed_form, derangements, solve_recursive,
     solve_telescoping,
 )
-from pilegame.rng import MAX_PILE
-from pilegame.simulate import Z_BY_LEVEL, SimResult
+from pilegame.rng import MASK64, MAX_PILE
+from pilegame.simulate import _INLINE_WORK_LIMIT, Z_BY_LEVEL, SimResult
 
 from cli_runner import run_cli
 from reference import csv_report
@@ -615,3 +616,111 @@ def test_closed_stdout_exits_141_without_a_traceback():
     stderr = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), stderr) == (141, b"")
+
+
+def _texts(*values):
+    return st.sampled_from([str(value) for value in values])
+
+
+def _range(low, high):
+    return st.integers(low, high).map(str)
+
+
+#: Slow inputs the argv property bounds (see its docstring).
+_ARGV_N_MAX, _ARGV_ORACLE_MAX, _ARGV_TRIALS = 60, 6, 500
+#: Command -> {flag: (value texts the parser accepts, value texts it rejects)}.
+#: Each range is drawn up to its bounds, and a rejected text is a bound - 1
+#: or + 1 where the range has one.
+_ARGV_FORMAT = {"--format": (_texts("csv", "json"), _texts("xml"))}
+_ARGV_OPTIONS = {
+    "solve": {
+        "--n-max": (_range(0, _ARGV_N_MAX), _texts(-1, "x")),
+        "--method": (_texts(*(m.replace("_", "-") for m in METHODS)), _texts("closed_form")),
+        **_ARGV_FORMAT,
+    },
+    "steps": {"--n-max": (_range(1, _ARGV_N_MAX), _texts(0, "x")), **_ARGV_FORMAT},
+    "convergence": {"--n-max": (_range(0, _ARGV_N_MAX), _texts(-1, "x")), **_ARGV_FORMAT},
+    "verify": {
+        "--n-max": (_range(2, _ARGV_N_MAX), _texts(1, "x")),
+        "--oracle-max": (_range(0, _ARGV_ORACLE_MAX), _texts(-1, MEMOIZED_MAX_N + 1)),
+    },
+    "simulate": {
+        "--n": (_texts(1, 2, 256, 257, MAX_PILE - 1, MAX_PILE), _texts(0, MAX_PILE + 1, "x")),
+        "--trials": (_range(1, _ARGV_TRIALS), _texts(0, "x")),
+        "--seed": (_texts(0, 1, MASK64), _texts(-1, MASK64 + 1)),
+        "--workers": (_texts(1, 2, 10**20), _texts(0)),
+        "--ci-level": (_texts(*Z_BY_LEVEL), _texts(0.5, "nan", "inf", "x")),
+        **_ARGV_FORMAT,
+    },
+}
+#: Options whose default is slower than the bounds allow: always given.
+_ARGV_SLOW_DEFAULTS = {"verify": {"--n-max", "--oracle-max"}, "simulate": {"--trials"}}
+
+
+@st.composite
+def _argv(draw):
+    """A command and its options in any order, with at most one fault: a
+    rejected value, a missing required option, an unknown option, or an
+    extra argument."""
+    command = draw(st.sampled_from(sorted(_ARGV_OPTIONS)))
+    table = cli._COMMANDS[command][1]
+    required = [flag for flag in _ARGV_OPTIONS[command] if table[flag][1] is None]
+    fault = draw(st.sampled_from([None, None, None, "value", "missing", "unknown", "extra"]))
+    flags = [flag for flag in _ARGV_OPTIONS[command]
+             if flag in required or flag in _ARGV_SLOW_DEFAULTS.get(command, ())
+             or draw(st.booleans())]
+    if fault == "missing" and required:
+        flags.remove(draw(st.sampled_from(required)))
+    bad = draw(st.sampled_from(flags)) if fault == "value" else None
+    pairs = draw(st.permutations(
+        [(flag, draw(_ARGV_OPTIONS[command][flag][flag == bad])) for flag in flags]))
+    argv = [command, *(part for pair in pairs for part in pair)]
+    if fault in ("unknown", "extra"):
+        extra = ["--bogus", "-x", "--n-mx"] if fault == "unknown" else ["extra", "--"]
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(extra)))
+    return argv
+
+
+def test_argv_bounds_start_no_pool():
+    """The argv property's ``--trials`` bound keeps every drawn ``simulate`` inline."""
+    assert _ARGV_TRIALS * (MAX_PILE + 1).bit_length() <= _INLINE_WORK_LIMIT
+
+
+@settings(max_examples=400, deadline=2000)
+@given(_argv())
+def test_every_argv_ends_in_a_report_or_a_usage_error(args):
+    """Every drawn argument list ends in exit 0 with an empty stderr and a
+    report that parses (CSV rows under their header, JSON with ``rows`` and
+    ``meta``, or every check of ``verify`` passed), or in exit 2 with an
+    empty stdout and an ``Error:`` line last on stderr. Never a traceback.
+
+    Slow inputs are bounded in the strategy, not skipped:
+
+    * ``--n-max`` is at most 60, as a table's cost grows with it;
+    * ``verify``'s ``--oracle-max`` is at most 6, as the game tree's does,
+      apart from MEMOIZED_MAX_N + 1, which the parser rejects;
+    * ``--trials`` is at most 500, so trials times ``max(n.bit_length(), 4)``
+      stays under ``_INLINE_WORK_LIMIT`` even at n = 2**64 + 1, and no pool
+      starts.
+
+    ``verify``'s ``--n-max`` and ``--oracle-max`` and ``simulate``'s
+    ``--trials`` are always given, because their defaults are larger.
+    """
+    result = _run(*args)
+    assert "Traceback" not in result.output
+    if result.exit_code == 2:
+        assert result.stdout == "", result.output
+        assert result.stderr.splitlines()[-1].startswith("Error:"), result.stderr
+        return
+    assert (result.exit_code, result.stderr) == (0, ""), result.output
+    lines = result.stdout.splitlines()
+    if args[0] == "verify":
+        passed, total = re.fullmatch(r"(\d+)/(\d+) checks passed", lines[-1]).groups()
+        assert passed == total == str(len(lines) - 1)
+        assert all(line.startswith("PASS ") for line in lines[:-1])
+    elif "json" in args:
+        report = json.loads(result.stdout)
+        assert set(report) == {"rows", "meta"} and report["rows"]
+    else:
+        header, *rows = csv.reader(lines)
+        assert rows and all(len(row) == len(header) for row in rows)

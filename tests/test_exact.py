@@ -283,16 +283,16 @@ def test_route_built_tables_check_their_range_on_the_integers():
 
 
 def test_tables_reject_empty_tuples():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^r is empty; a table holds at least R_0$"):
         WinTable(r=(), method="recursive")
 
 
 def test_win_table_d_accessor_bounds():
     table = solve_recursive(3)
     assert table.d(3) == Fraction(1, 3)
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"^n=4 outside table range 0\.\.3$"):
         table.d(4)
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"^n=-1 outside table range 0\.\.3$"):
         table.d(-1)
 
 

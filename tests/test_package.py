@@ -5,7 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def _fresh(code: str) -> str:
@@ -100,3 +101,12 @@ def test_readme_library_example_runs():
     blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.MULTILINE | re.DOTALL)
     assert len(blocks) == 1, f"README has {len(blocks)} python blocks, expected 1"
     assert len(_fresh(blocks[0]).split()) == 3  # p_hat, ci_low, ci_high
+
+
+def test_matrix_runs_tier1_as_the_workflow_does():
+    """``tests/matrix.py`` passes the interpreter the workflow's tier-1 arguments."""
+    from matrix import TIER1
+
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    step = next(line for line in workflow.splitlines() if " -m pytest " in line)
+    assert step.split(" python ", 1)[1].split() == TIER1

@@ -113,13 +113,13 @@ def test_steps_strictly_increase_from_three():
 
 def test_accessor_bounds():
     table = expected_steps(4)
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"^n=0 outside table range 1\.\.4$"):
         table.ez_at(0)
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"^n=5 outside table range 1\.\.4$"):
         table.ez_at(5)
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"^n=1 outside table range 2\.\.4$"):
         table.eq_at(1)
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"^n=5 outside table range 2\.\.4$"):
         table.eq_at(5)
 
 
@@ -133,5 +133,5 @@ def test_table_validation():
 
 
 def test_table_rejects_empty_ez():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^ez is empty; a table holds at least E\(Z_1\)$"):
         StepsTable(ez=())
