@@ -19,12 +19,18 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import asdict
+from decimal import (
+    MAX_EMAX, MAX_PREC, Context, Decimal, DivisionByZero, Inexact, InvalidOperation, Overflow,
+    Rounded, localcontext,
+)
 from fractions import Fraction
 from importlib import import_module
+from itertools import islice
 
 from . import _EXPORTS, __version__
 from .exact import (
-    METHODS, _whole_ints, closed_form, derangements, gap_to_limit, solve, solve_recursive,
+    METHODS, _derangement_counts, _factorials_to, _whole_ints, closed_form, derangements,
+    gap_to_limit, solve, solve_recursive,
 )
 from .oracle import MEMOIZED_MAX_N
 from .rng import MASK64, MAX_PILE
@@ -88,6 +94,11 @@ def _emit(rows: list[dict], fmt: str, method: str, seed: int | None = None) -> N
     one that would), so a line is its cells joined by commas. That is what
     ``csv.writer(lineterminator="\\n")`` writes for rows of two or more
     cells, as every report's are; it writes a lone empty cell as ``""``.
+    In the CSV reports of ``solve`` and ``steps`` the big integer cells
+    (``d_prob_num``, ``d_prob_den`` and ``d_n``; ``ez_num``, ``ez_den``,
+    ``eq_num`` and ``eq_den``) hold ``Decimal`` twins of the ints wherever
+    ``_twin_into`` checked them: a twin's ``str`` is the int's, in linear
+    time. JSON reports hold the ints.
     """
     write = sys.stdout.write
     if fmt == "csv":
@@ -99,6 +110,37 @@ def _emit(rows: list[dict], fmt: str, method: str, seed: int | None = None) -> N
 
         meta = {"seed": seed, "method": method, "version": __version__}
         write(json.dumps({"rows": rows, "meta": meta}, indent=2) + "\n")
+
+
+#: Integer steps in this ``decimal`` context are exact, or raise: the
+#: precision and exponents are the largest there are, and a step that would
+#: round is trapped (``Rounded`` also for trailing zeros, which would print
+#: in exponent notation), as are the default context's traps.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=-MAX_EMAX,
+                 traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded])
+
+
+def _twins(recurrence, n_max: int):
+    """``recurrence(n_max, one)``'s values as (int, ``Decimal`` twin) pairs,
+    from ``one = 1`` and ``Decimal(1)``; the ``_EXACT`` context must be current."""
+    return zip(recurrence(n_max), recurrence(n_max, Decimal(1)))
+
+
+def _twin_into(row: dict, cells: str, scaled: tuple, fact: tuple) -> None:
+    """Put twins in ``row``'s cells ``<cells>_num`` and ``<cells>_den`` if
+    they hold scaled/fact, each of ``scaled`` and ``fact`` an (int, twin) pair.
+
+    The cells hold the route's ints num/den, which stay the source of truth.
+    If den*g = fact and num*g = scaled for an int g, the twins divided by g
+    are num and den exactly. That test on ints decides, and it is linear, as
+    g is small: up to n = 3000 it has at most 54 bits on ``solve``'s rows and
+    76 on ``steps``'. A row that fails it keeps the route's ints, which print
+    through ``str``.
+    """
+    num, den = f"{cells}_num", f"{cells}_den"
+    g, rest = divmod(fact[0], row[den])
+    if not rest and row[num] * g == scaled[0]:
+        row[num], row[den] = scaled[1] // g, fact[1] // g
 
 
 def solve_cmd(n_max: int, method: str, format: str) -> None:
@@ -117,6 +159,13 @@ def solve_cmd(n_max: int, method: str, format: str) -> None:
             "d_n": counts[n],
             "method": table.method,
         })
+    if format == "csv":  # D_n = d_n/n!
+        with localcontext(_EXACT):
+            for row, fact, d_n in zip(rows, _twins(_factorials_to, n_max),
+                                      _twins(_derangement_counts, n_max)):
+                _twin_into(row, "d_prob", d_n, fact)
+                if row["d_n"] == d_n[0]:
+                    row["d_n"] = d_n[1]
     _emit(rows, format, table.method)
 
 
@@ -161,6 +210,18 @@ def steps(n_max: int, format: str) -> None:
             "eq_den": eq.denominator if eq is not None else None,
             "ez_float": float(ez),
         })
+    if format == "csv":  # E(Z_n) = t_n/n! and E(Q_n) = (t_n - n*t_{n-1})/n!
+        from .steps import _scaled_steps
+
+        with localcontext(_EXACT):
+            twins = zip(rows, islice(_twins(_factorials_to, n_max), 1, None),  # from 1!
+                        _twins(_scaled_steps, n_max))
+            for n, (row, fact, t_n) in enumerate(twins, 1):
+                _twin_into(row, "ez", t_n, fact)
+                if n >= 2:
+                    q_n = tuple(t - n * t_last for t, t_last in zip(t_n, last))
+                    _twin_into(row, "eq", q_n, fact)
+                last = t_n
     _emit(rows, format, "steps")
 
 

@@ -54,7 +54,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import mul
 from typing import Iterator
 
@@ -72,8 +72,11 @@ _ONE = Fraction(1)
 @contextlib.contextmanager
 def _whole_ints() -> Iterator[None]:
     """Lift CPython's int-to-str digit limit for the block, then restore it.
-    d_n and n! pass its default 4300 digits from n = 1559 on, and reports and
-    check details print them whole. Python 3.10.0-3.10.6 have no limit."""
+    d_n and n! pass its default 4300 digits from n = 1559 on. The CSV cells of
+    ``solve`` and ``steps`` print from ``Decimal`` twins, which the limit does
+    not cover, but JSON reports, a row that falls back to its ints and
+    ``verify``'s check details print ints whole. Python 3.10.0-3.10.6 have no
+    limit."""
     limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
     if limit:
         sys.set_int_max_str_digits(0)
@@ -130,7 +133,7 @@ class _FactorialRow:
 
     def _factorials(self, count: int) -> Iterator[int]:
         """k! for the table's first ``count`` values."""
-        return accumulate(range(self._FIRST + 1, self._FIRST + count), mul, initial=1)
+        return islice(_factorials_to(self._FIRST + count - 1), self._FIRST, self._FIRST + count)
 
     @property
     def n_max(self) -> int:
@@ -284,8 +287,7 @@ def closed_form_table(n_max: int) -> WinTable:
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    facts = accumulate(range(1, n_max + 1), mul, initial=1)
-    scaled = tuple(fact - s_k for fact, s_k in zip(facts, _horner_sums(n_max)))
+    scaled = tuple(fact - s_k for fact, s_k in zip(_factorials_to(n_max), _horner_sums(n_max)))
     return WinTable._over_factorials(scaled, method="closed_form")
 
 
@@ -297,10 +299,26 @@ def derangements(n_max: int) -> tuple[int, ...]:
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    d = [1, 0][: n_max + 1]
+    return tuple(_derangement_counts(n_max))
+
+
+def _derangement_counts(n_max: int, one=1) -> Iterator:
+    """d_0, ..., d_{n_max} by d_n = (n-1) * (d_{n-1} + d_{n-2}), in the type of ``one``.
+
+    From ``one = 1`` these are ``derangements``' ints; from ``Decimal(1)``,
+    run in an exact context, the same values as ``Decimal``s, which a report
+    prints in linear time.
+    """
+    before, last = one, one - one  # d_0 and d_1
+    yield from (before, last)[: n_max + 1]
     for n in range(2, n_max + 1):
-        d.append((n - 1) * (d[n - 1] + d[n - 2]))
-    return tuple(d)
+        before, last = last, (n - 1) * (last + before)
+        yield last
+
+
+def _factorials_to(n_max: int, one=1) -> Iterator:
+    """0!, 1!, ..., n_max! by k! = k * (k-1)!, in the type of ``one``."""
+    return accumulate(range(1, n_max + 1), mul, initial=one)
 
 
 def gf_table(n_max: int) -> WinTable:

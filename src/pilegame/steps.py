@@ -76,14 +76,23 @@ def expected_steps(n_max: int) -> StepsTable:
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    scaled = [1, 2][:n_max]  # t_1 = 1! and t_2 = 2!: E(Z_1) = E(Z_2) = 1
-    fact, w_before, w_last = 2, 1, 4  # (n-1)!, w_{n-2} and w_{n-1} entering step n
+    return StepsTable._over_factorials(tuple(_scaled_steps(n_max)))
+
+
+def _scaled_steps(n_max: int, one=1) -> Iterator:
+    """t_1, ..., t_{n_max} of ``expected_steps``, in the type of ``one``.
+
+    From ``one = 1`` these are the table's ints; from ``Decimal(1)``, run in
+    an exact context, the same values as ``Decimal``s, which a report prints
+    in linear time.
+    """
+    yield from (one, 2 * one)[:n_max]  # t_1 = 1! and t_2 = 2!: E(Z_1) = E(Z_2) = 1
+    fact, w_before, w_last = 2 * one, one, 4 * one  # (n-1)!, w_{n-2} and w_{n-1} entering step n
     for n in range(3, n_max + 1):
         fact *= n
         t_n = fact + (n - 1) * w_before
-        scaled.append(t_n)
+        yield t_n
         w_before, w_last = w_last, n * w_last + t_n
-    return StepsTable._over_factorials(tuple(scaled))
 
 
 def q_sequence(n_max: int) -> tuple[Fraction, ...]:

@@ -19,8 +19,9 @@ load on other 3.x versions, and nothing is installed. For each interpreter:
   replay of the same stream on the tests' scalar reference generator
   (``reference.py`` imports only the standard library and the package),
   then the CLI (it needs no other package):
-  ``python -m pilegame --version`` and ``python -m pilegame verify
-  --n-max 50 --oracle-max 6``.
+  ``python -m pilegame --version``, ``solve --n-max 30`` and ``steps
+  --n-max 30`` (whose CSV cells print from ``Decimal`` twins), ``verify
+  --n-max 50 --oracle-max 6`` and a ``simulate`` of a 2**64 pile.
 
 It prints one line per interpreter and exits 1 if any run failed. Pytest
 does not collect this file.
@@ -68,6 +69,8 @@ print(f"{len(results)}/{len(results)} checks passed, _whole_ints and _run_block 
 """
 CLI_SMOKE = [
     ["--version"],
+    ["solve", "--n-max", "30"],
+    ["steps", "--n-max", "30"],
     ["verify", "--n-max", "50", "--oracle-max", "6"],
     ["simulate", "--n", "18446744073709551616", "--trials", "1000", "--seed", "1"],
 ]

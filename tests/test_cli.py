@@ -10,21 +10,23 @@ import math
 import re
 import subprocess
 import sys
+from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pilegame.cli as cli
 import pilegame.verify
 from pilegame.oracle import MEMOIZED_MAX_N
 from pilegame.exact import (
-    E_INVERSE, FLOAT_SLACK, METHODS, _whole_ints, closed_form, derangements, solve_recursive,
-    solve_telescoping,
+    E_INVERSE, FLOAT_SLACK, METHODS, _factorials_to, _whole_ints, closed_form, derangements, solve,
+    solve_recursive, solve_telescoping,
 )
 from pilegame.rng import MASK64, MAX_PILE
 from pilegame.simulate import _INLINE_WORK_LIMIT, Z_BY_LEVEL, SimResult
+from pilegame.steps import StepsTable, expected_steps
 
 from cli_runner import run_cli
 from reference import csv_report
@@ -330,6 +332,142 @@ def test_solve_large_n_max_prints_exact_columns(fmt):
         assert int(last["d_prob_num"]) == d_exact.numerator
         assert int(last["d_prob_den"]) == d_exact.denominator
         assert int(last["d_n"]) == derangements(1600)[1600]
+
+
+#: The cells of each report that hold big integers.
+_BIG_CELLS = {
+    "solve": ("d_prob_num", "d_prob_den", "d_n"),
+    "steps": ("ez_num", "ez_den", "eq_num", "eq_den"),
+}
+
+
+def _big_cells(command, fmt, *options):
+    """The big integer cells of a report, as the text each prints as in CSV."""
+    result = _run(command, *options, "--format", fmt)
+    assert result.exit_code == 0, result.output
+    if fmt == "csv":
+        rows = _csv_rows(result.output)
+    else:  # the JSON value of a cell, in the text CSV writes for it
+        rows = [{key: "" if value is None else str(value) for key, value in row.items()}
+                for row in json.loads(result.output)["rows"]]
+    return [tuple(row[key] for key in _BIG_CELLS[command]) for row in rows]
+
+
+def _route_cells(command, table, counts=None):
+    """What ``_big_cells`` must give: ``str`` of the route's ints."""
+    if command == "solve":
+        return [(str(table.d(n).numerator), str(table.d(n).denominator), str(counts[n]))
+                for n in range(table.n_max + 1)]
+    return [(str(table.ez_at(n).numerator), str(table.ez_at(n).denominator),
+             *((str(table.eq_at(n).numerator), str(table.eq_at(n).denominator)) if n >= 2
+               else ("", "")))
+            for n in range(1, table.n_max + 1)]
+
+
+@settings(max_examples=25, deadline=None)
+@example(400, "recursive", "csv")
+@example(400, "gf", "json")
+@example(400, "steps", "csv")
+@given(st.integers(0, 400), st.sampled_from([*METHODS, "steps"]), st.sampled_from(["csv", "json"]))
+def test_big_cells_print_the_routes_ints(n_max, command, fmt):
+    """Every big cell of ``solve`` (each method) and ``steps`` is ``str`` of
+    the route's int, whether it printed from a ``Decimal`` twin (CSV) or from
+    the int (JSON)."""
+    if command == "steps":
+        n_max = max(n_max, 1)
+        expected = _route_cells("steps", expected_steps(n_max))
+        assert _big_cells("steps", fmt, "--n-max", str(n_max)) == expected
+    else:
+        expected = _route_cells("solve", solve(n_max, command), derangements(n_max))
+        method = command.replace("_", "-")
+        assert _big_cells("solve", fmt, "--n-max", str(n_max), "--method", method) == expected
+
+
+@pytest.mark.parametrize("command", ["solve", "steps"])
+def test_csv_big_cells_print_from_decimal_twins(command, monkeypatch):
+    """On an honest route every big CSV cell reaches ``_emit`` as a twin."""
+    emitted = []
+    monkeypatch.setattr(cli, "_emit", lambda rows, *rest: emitted.append(rows))
+    assert _run(command, "--n-max", "60").exit_code == 0
+    cells = [row[key] for row in emitted[0] for key in _BIG_CELLS[command]
+             if row[key] is not None]
+    assert cells and all(isinstance(cell, Decimal) for cell in cells)
+
+
+def _solve_with(r_10):
+    """``cli.solve`` whose table holds ``r_10`` as R_10."""
+
+    def tampered(n_max, method):
+        table = solve(n_max, method)
+        r = list(table.r)
+        r[10] = r_10
+        return dataclasses.replace(table, r=tuple(r))
+
+    return tampered
+
+
+#: R_10 moved so that D_10's denominator divides 10! (2/3 and one step of
+#: 1/10! away from the honest value), and so that it does not (10/11).
+_TAMPERED_R_10 = [Fraction(1, 3), 1 - Fraction(derangements(10)[10] + 1, math.factorial(10)),
+                  Fraction(1, 11)]
+
+
+@pytest.mark.parametrize("r_10", _TAMPERED_R_10)
+def test_solve_prints_a_tampered_routes_value_through_the_fallback(r_10, monkeypatch):
+    monkeypatch.setattr(cli, "solve", _solve_with(r_10))
+    table = _solve_with(r_10)(40, "recursive")
+    expected = _route_cells("solve", table, derangements(40))
+    assert expected[10][:2] == (str((1 - r_10).numerator), str((1 - r_10).denominator))
+    for fmt in ("csv", "json"):
+        assert _big_cells("solve", fmt, "--n-max", "40") == expected
+
+
+def test_solve_prints_a_tampered_count_through_the_fallback(monkeypatch):
+    counts = list(derangements(40))
+    counts[10] += 1
+    monkeypatch.setattr(cli, "derangements", lambda n_max: tuple(counts))
+    expected = _route_cells("solve", solve_recursive(40), counts)
+    assert expected[10][2] == str(derangements(10)[10] + 1)
+    for fmt in ("csv", "json"):
+        assert _big_cells("solve", fmt, "--n-max", "40") == expected
+
+
+@pytest.mark.parametrize("build", ["fractions", "scaled"])
+def test_steps_prints_a_tampered_tables_values_through_the_fallback(build, monkeypatch):
+    """E(Z_10) moved: the rows of E(Z_10), E(Q_10) and E(Q_11) print it."""
+
+    def tampered(n_max):
+        table = expected_steps(n_max)
+        if build == "fractions":
+            ez = list(table.ez)
+            ez[9] += Fraction(1, 7)
+            return dataclasses.replace(table, ez=tuple(ez))
+        scaled = list(table.scaled)
+        scaled[9] += 1
+        return StepsTable._over_factorials(tuple(scaled))
+
+    monkeypatch.setattr(cli, "expected_steps", tampered)
+    table = tampered(40)
+    assert table.ez_at(10) != expected_steps(10).ez_at(10)
+    expected = _route_cells("steps", table)
+    for fmt in ("csv", "json"):
+        assert _big_cells("steps", fmt, "--n-max", "40") == expected
+
+
+def test_twin_context_is_exact_and_traps_every_rounding():
+    """A twin's step that rounds raises, so a dropped trap or a lowered
+    precision cannot pass silently. (``Decimal(1) / 3`` raises MemoryError at
+    this precision before any trap: it would need MAX_PREC digits.)"""
+    context = cli._EXACT
+    assert (context.prec, context.Emax, context.Emin) == (MAX_PREC, MAX_EMAX, -MAX_EMAX)
+    with localcontext(cli._EXACT) as context:
+        with pytest.raises(Inexact):
+            Decimal("2.5").to_integral_exact()
+        # 20! = 2432902008176640000 keeps its value at 18 digits, but only as
+        # 2.43290200817664000E+18, which is how it would print.
+        context.prec = 18
+        with pytest.raises(Rounded):
+            list(_factorials_to(20, Decimal(1)))
 
 
 def _r5_moved(n_max):

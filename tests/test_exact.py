@@ -2,6 +2,7 @@
 
 import math
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 from pilegame.exact import (
     E_INVERSE,
     WinTable,
+    _derangement_counts,
+    _factorials_to,
     _times,
     _whole_ints,
     closed_form,
@@ -24,6 +27,7 @@ from pilegame.exact import (
     solve_recursive,
     solve_telescoping,
 )
+from pilegame.steps import _scaled_steps, expected_steps
 from reference import (
     BRUTE_DERANGEMENTS,
     BRUTE_R,
@@ -205,6 +209,33 @@ def test_derangements_match_enumeration():
 def test_derangements_small_tables():
     assert derangements(0) == (1,)
     assert derangements(1) == (1, 0)
+
+
+@pytest.mark.parametrize("count", range(5))
+@pytest.mark.parametrize("table", [solve_recursive(5), expected_steps(5)],
+                         ids=["WinTable", "StepsTable"])
+def test_factorials_give_one_per_value_from_the_first_k(table, count):
+    """k! for k = _FIRST, ..., _FIRST + count - 1: nothing for count 0."""
+    first = table._FIRST
+    assert list(table._factorials(count)) == [math.factorial(k) for k in range(first, first + count)]
+
+
+@pytest.mark.parametrize("recurrence, n_max", [
+    (_derangement_counts, 0), (_derangement_counts, 1), (_derangement_counts, 300),
+    (_factorials_to, 0), (_factorials_to, 300), (_scaled_steps, 1), (_scaled_steps, 2),
+    (_scaled_steps, 300),
+])
+def test_decimal_twins_print_as_their_ints(recurrence, n_max):
+    """A recurrence run from Decimal(1) in the CLI's exact context gives the
+    values it gives from 1, and each prints as the int does."""
+    from pilegame.cli import _EXACT
+
+    with localcontext(_EXACT):
+        twins = list(recurrence(n_max, Decimal(1)))
+    ints = list(recurrence(n_max))
+    assert all(isinstance(twin, Decimal) for twin in twins)
+    assert list(map(str, twins)) == list(map(str, ints))
+    assert len(ints) == n_max + (recurrence is not _scaled_steps)
 
 
 def test_derangement_value_at_ten():
