@@ -25,7 +25,7 @@ from decimal import (
 )
 from fractions import Fraction
 from importlib import import_module
-from itertools import islice
+from itertools import islice, repeat
 
 from . import _EXPORTS, __version__
 from .exact import (
@@ -97,8 +97,8 @@ def _emit(rows: list[dict], fmt: str, method: str, seed: int | None = None) -> N
     In the CSV reports of ``solve`` and ``steps`` the big integer cells
     (``d_prob_num``, ``d_prob_den`` and ``d_n``; ``ez_num``, ``ez_den``,
     ``eq_num`` and ``eq_den``) hold ``Decimal`` twins of the ints wherever
-    ``_twin_into`` checked them: a twin's ``str`` is the int's, in linear
-    time. JSON reports hold the ints.
+    ``_cells`` checked them; twins enter a row only through ``_cells``. A
+    twin's ``str`` is the int's, in linear time. JSON reports hold the ints.
     """
     write = sys.stdout.write
     if fmt == "csv":
@@ -120,27 +120,35 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=-MAX_EMAX,
                  traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded])
 
 
-def _twins(recurrence, n_max: int):
-    """``recurrence(n_max, one)``'s values as (int, ``Decimal`` twin) pairs,
-    from ``one = 1`` and ``Decimal(1)``; the ``_EXACT`` context must be current."""
+def _twins(recurrence, n_max: int, format: str):
+    """For CSV, ``recurrence(n_max, one)``'s values as (int, ``Decimal`` twin)
+    pairs, from ``one = 1`` and ``Decimal(1)``; the ``_EXACT`` context must be
+    current. JSON prints ints, so for it no twin is made: ``None`` for each."""
+    if format == "json":
+        return repeat(None)
     return zip(recurrence(n_max), recurrence(n_max, Decimal(1)))
 
 
-def _twin_into(row: dict, cells: str, scaled: tuple, fact: tuple) -> None:
-    """Put twins in ``row``'s cells ``<cells>_num`` and ``<cells>_den`` if
-    they hold scaled/fact, each of ``scaled`` and ``fact`` an (int, twin) pair.
+def _cells(value, scaled=None, fact=None) -> tuple:
+    """The numerator and denominator cells of a report's exact ``value``
+    (a ``Fraction`` or an int; two empty cells for ``None``).
 
-    The cells hold the route's ints num/den, which stay the source of truth.
-    If den*g = fact and num*g = scaled for an int g, the twins divided by g
-    are num and den exactly. That test on ints decides, and it is linear, as
-    g is small: up to n = 3000 it has at most 54 bits on ``solve``'s rows and
-    76 on ``steps``'. A row that fails it keeps the route's ints, which print
-    through ``str``.
+    The route's ints num/den stay the source of truth. ``scaled`` and
+    ``fact`` are (int, ``Decimal`` twin) pairs: if den*g = fact and num*g =
+    scaled for an int g, the cells are the twins over g, num and den
+    exactly. That test on ints decides, and it is linear, as g is small: up
+    to n = 3000 it has at most 54 bits on ``solve``'s rows and 76 on
+    ``steps``'. Without twins, or where the test fails, the cells are the
+    route's ints, which print through ``str``.
     """
-    num, den = f"{cells}_num", f"{cells}_den"
-    g, rest = divmod(fact[0], row[den])
-    if not rest and row[num] * g == scaled[0]:
-        row[num], row[den] = scaled[1] // g, fact[1] // g
+    if value is None:
+        return None, None
+    num, den = value.numerator, value.denominator
+    if scaled:
+        g, rest = divmod(fact[0], den)
+        if not rest and num * g == scaled[0]:
+            return scaled[1] // g, fact[1] // g
+    return num, den
 
 
 def solve_cmd(n_max: int, method: str, format: str) -> None:
@@ -148,24 +156,20 @@ def solve_cmd(n_max: int, method: str, format: str) -> None:
     table = solve(n_max, method.replace("-", "_"))
     counts = derangements(n_max)
     rows = []
-    for n in range(n_max + 1):
-        report = gap_to_limit(n, table)
-        rows.append({
-            "n": n,
-            "d_prob_num": report.d_exact.numerator,
-            "d_prob_den": report.d_exact.denominator,
-            "d_prob_float": report.d_n_float,
-            "gap_to_e_inv": report.gap,
-            "d_n": counts[n],
-            "method": table.method,
-        })
-    if format == "csv":  # D_n = d_n/n!
-        with localcontext(_EXACT):
-            for row, fact, d_n in zip(rows, _twins(_factorials_to, n_max),
-                                      _twins(_derangement_counts, n_max)):
-                _twin_into(row, "d_prob", d_n, fact)
-                if row["d_n"] == d_n[0]:
-                    row["d_n"] = d_n[1]
+    with localcontext(_EXACT):  # D_n = d_n/n!, and d_n = d_n/1
+        for n, fact, d_n in zip(range(n_max + 1), _twins(_factorials_to, n_max, format),
+                                _twins(_derangement_counts, n_max, format)):
+            report = gap_to_limit(n, table)
+            num, den = _cells(report.d_exact, d_n, fact)
+            rows.append({
+                "n": n,
+                "d_prob_num": num,
+                "d_prob_den": den,
+                "d_prob_float": report.d_n_float,
+                "gap_to_e_inv": report.gap,
+                "d_n": _cells(counts[n], d_n, (1, 1))[0],
+                "method": table.method,
+            })
     _emit(rows, format, table.method)
 
 
@@ -185,11 +189,11 @@ def simulate(n: int, trials: int, seed: int, workers: int, ci_level: float, form
     """Monte Carlo estimate of the deterministic player's win probability."""
     result = run_trials(n, trials, seed=seed, workers=workers, ci_level=ci_level)
     d_settled = 1 - closed_form(min(n, _SETTLED_PILE))
-    d_exact = 1 - closed_form(n) if n <= _EXACT_CELLS_MAX_N else None
+    num, den = _cells(1 - closed_form(n) if n <= _EXACT_CELLS_MAX_N else None)
     rows = [{
         **asdict(result),
-        "d_exact_num": None if d_exact is None else d_exact.numerator,
-        "d_exact_den": None if d_exact is None else d_exact.denominator,
+        "d_exact_num": num,
+        "d_exact_den": den,
         "within_ci": Fraction(result.ci_low) <= d_settled <= Fraction(result.ci_high),
     }]
     _emit(rows, format, "simulate", seed)
@@ -197,31 +201,27 @@ def simulate(n: int, trials: int, seed: int, workers: int, ci_level: float, form
 
 def steps(n_max: int, format: str) -> None:
     """Expected number of random-player moves E(Z_n) and differences E(Q_n)."""
-    table = expected_steps(n_max)
-    rows = []
-    for n in range(1, n_max + 1):
-        ez = table.ez_at(n)
-        eq = table.eq_at(n) if n >= 2 else None
-        rows.append({
-            "n": n,
-            "ez_num": ez.numerator,
-            "ez_den": ez.denominator,
-            "eq_num": eq.numerator if eq is not None else None,
-            "eq_den": eq.denominator if eq is not None else None,
-            "ez_float": float(ez),
-        })
-    if format == "csv":  # E(Z_n) = t_n/n! and E(Q_n) = (t_n - n*t_{n-1})/n!
-        from .steps import _scaled_steps
+    from .steps import _scaled_steps
 
-        with localcontext(_EXACT):
-            twins = zip(rows, islice(_twins(_factorials_to, n_max), 1, None),  # from 1!
-                        _twins(_scaled_steps, n_max))
-            for n, (row, fact, t_n) in enumerate(twins, 1):
-                _twin_into(row, "ez", t_n, fact)
-                if n >= 2:
-                    q_n = tuple(t - n * t_last for t, t_last in zip(t_n, last))
-                    _twin_into(row, "eq", q_n, fact)
-                last = t_n
+    table = expected_steps(n_max)
+    rows, last = [], (0, 0)  # t_0 = 0, so q_1 is t_1; no row prints it
+    with localcontext(_EXACT):  # E(Z_n) = t_n/n! and E(Q_n) = (t_n - n*t_{n-1})/n!
+        for n, fact, t_n in zip(range(1, n_max + 1),
+                                islice(_twins(_factorials_to, n_max, format), 1, None),  # from 1!
+                                _twins(_scaled_steps, n_max, format)):
+            ez = table.ez_at(n)
+            q_n = t_n and tuple(t - n * t_last for t, t_last in zip(t_n, last))
+            ez_num, ez_den = _cells(ez, t_n, fact)
+            eq_num, eq_den = _cells(table.eq_at(n) if n >= 2 else None, q_n, fact)
+            rows.append({
+                "n": n,
+                "ez_num": ez_num,
+                "ez_den": ez_den,
+                "eq_num": eq_num,
+                "eq_den": eq_den,
+                "ez_float": float(ez),
+            })
+            last = t_n
     _emit(rows, format, "steps")
 
 

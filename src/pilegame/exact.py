@@ -74,9 +74,9 @@ def _whole_ints() -> Iterator[None]:
     """Lift CPython's int-to-str digit limit for the block, then restore it.
     d_n and n! pass its default 4300 digits from n = 1559 on. The CSV cells of
     ``solve`` and ``steps`` print from ``Decimal`` twins, which the limit does
-    not cover, but JSON reports, a row that falls back to its ints and
-    ``verify``'s check details print ints whole. Python 3.10.0-3.10.6 have no
-    limit."""
+    not cover, but JSON reports, ``simulate``'s d_exact cells, a value that
+    falls back to its ints and ``verify``'s check details print ints whole.
+    Python 3.10.0-3.10.6 have no limit."""
     limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
     if limit:
         sys.set_int_max_str_digits(0)

@@ -8,16 +8,18 @@ what makes it an independent check on the analytic solvers.
 
 Each pile adds up its branches' outcomes and divides by m once per sum.
 
-Memoization caches values per pile; it changes cost only, not semantics,
-and can be switched off to keep the evaluation a pure tree walk. The cached
-walk visits each pile once, O(n^2) ``Fraction`` work. The pure walk's call
-count grows like a Fibonacci sequence in n, so its small-n guard keeps it
-short. The cached mode's limit is the bound ``verify --oracle-max`` accepts.
+Memoization keeps each pile's values for the process; it changes cost
+only, not semantics, and can be switched off to keep the evaluation a
+pure tree walk. The cached walk visits each pile once per process, O(n^2)
+``Fraction`` work. The pure walk's call count grows like a Fibonacci
+sequence in n, so its small-n guard keeps it short. The cached mode's
+limit is the bound ``verify --oracle-max`` accepts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 #: Largest n accepted with the per-pile cache enabled.
 MEMOIZED_MAX_N = 14
@@ -29,14 +31,10 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _walk(
-    pile: int, cache: dict[int, tuple[Fraction, Fraction]] | None
-) -> tuple[Fraction, Fraction]:
-    """(P(deterministic player wins), E(remaining R moves)) with R to move."""
-    if cache is not None:
-        hit = cache.get(pile)
-        if hit is not None:
-            return hit
+def _walk(pile: int, memoize: bool) -> tuple[Fraction, Fraction]:
+    """(P(deterministic player wins), E(remaining R moves)) with R to move.
+    With ``memoize`` each sub-pile's pair is read from ``_cached_walk``."""
+    walk = _cached_walk if memoize else _walk
     d_wins = _ZERO  # sum over the branches of P(deterministic player wins)
     r_moves = _ZERO  # sum over the branches of E(R moves after this one)
     for k in range(1, pile + 1):
@@ -44,14 +42,15 @@ def _walk(
         if left == 1:  # deterministic player takes the last counter
             d_wins += 1
         elif left > 1:  # deterministic player's forced move: remove exactly one
-            sub_d, sub_steps = _walk(left - 1, cache)
+            sub_d, sub_steps = walk(left - 1, memoize)
             d_wins += sub_d
             r_moves += sub_steps
         # left == 0: the random player emptied the pile and won
-    result = (d_wins / pile, 1 + r_moves / pile)
-    if cache is not None:
-        cache[pile] = result
-    return result
+    return d_wins / pile, 1 + r_moves / pile
+
+
+#: The memoized walk: each pile's pair is kept for the life of the process.
+_cached_walk = cache(_walk)
 
 
 def _root(n: int, memoize: bool) -> tuple[Fraction, Fraction]:
@@ -60,7 +59,7 @@ def _root(n: int, memoize: bool) -> tuple[Fraction, Fraction]:
     if n > limit:
         mode = "memoized" if memoize else "unmemoized"
         raise ValueError(f"n={n} exceeds the {mode} enumeration limit of {limit}")
-    return _walk(n, {} if memoize else None)
+    return (_cached_walk if memoize else _walk)(n, memoize)
 
 
 def oracle_win_prob(n: int, memoize: bool = True) -> Fraction:

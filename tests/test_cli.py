@@ -470,6 +470,44 @@ def test_twin_context_is_exact_and_traps_every_rounding():
             list(_factorials_to(20, Decimal(1)))
 
 
+@given(st.one_of(st.fractions(), st.integers()), st.integers(1, 10**30), st.integers(-2, 2), st.integers(-2, 2))
+@example(Fraction(3, 4), 6, 0, 0)  # holds
+@example(Fraction(3, 4), 6, 4, 0)  # fact is another multiple of 4, scaled is not 3/4 of it
+@example(Fraction(3, 4), 6, 0, 1)  # scaled is one off
+def test_cells_take_the_twins_exactly_when_their_ints_hold_the_value(value, g, fact_off,
+                                                                     scaled_off):
+    """``_cells`` returns the twins over g when fact is a multiple of the
+    value's denominator and scaled/fact is the value; else the value's ints."""
+    fact = max(value.denominator * g + fact_off, 1)
+    scaled = value.numerator * g + scaled_off
+    with localcontext(cli._EXACT):
+        cells = cli._cells(value, (scaled, Decimal(scaled)), (fact, Decimal(fact)))
+    holds = fact % value.denominator == 0 and Fraction(scaled, fact) == value
+    assert cells == (value.numerator, value.denominator)
+    assert all(type(cell) is (Decimal if holds else int) for cell in cells)
+    assert cli._cells(value) == cells
+    assert all(type(cell) is int for cell in cli._cells(value))
+    assert cli._cells(None, (scaled, Decimal(scaled)), (fact, Decimal(fact))) == (None, None)
+    assert cli._cells(None) == (None, None)
+
+
+@pytest.mark.parametrize("args", [
+    *(f"solve --n-max 60 --method {method.replace('_', '-')}" for method in METHODS),
+    "steps --n-max 60",
+])
+def test_json_reports_build_no_twin(args, monkeypatch):
+    expected = _run(*args.split(), "--format", "json")
+
+    def no_twin(*args):
+        raise AssertionError("a Decimal twin was built")
+
+    monkeypatch.setattr(cli, "Decimal", no_twin)
+    result = _run(*args.split(), "--format", "json")
+    assert (result.exit_code, result.stdout) == (0, expected.stdout)
+    with pytest.raises(AssertionError, match="twin was built"):  # CSV builds them
+        _run(*args.split())
+
+
 def _r5_moved(n_max):
     """``solve_telescoping`` with R_5 moved by 10^-6."""
     table = solve_telescoping(n_max)

@@ -8,10 +8,12 @@ from pilegame.exact import solve_recursive
 from pilegame.oracle import (
     MEMOIZED_MAX_N,
     UNMEMOIZED_MAX_N,
+    _cached_walk,
     oracle_expected_steps,
     oracle_win_prob,
 )
 from pilegame.steps import expected_steps
+from pilegame.verify import run_checks
 from reference import (
     BRUTE_DERANGEMENTS,
     BRUTE_EZ,
@@ -99,3 +101,20 @@ def test_zero_pile_result():
     assert oracle_win_prob(0, memoize=False) == 1
     with pytest.raises(ValueError):  # no game, so no step count
         oracle_expected_steps(0, memoize=False)
+
+
+def test_memoized_walk_visits_each_pile_once_per_process():
+    _cached_walk.cache_clear()
+    oracle_win_prob(12)  # fills piles 12 and 1..10 on the way
+    assert _cached_walk.cache_info().currsize == 11
+    run_checks(60, 12)
+    assert _cached_walk.cache_info().misses == 12  # piles 1..12
+    run_checks(60, 12)
+    assert _cached_walk.cache_info().misses == 12
+
+
+def test_pure_walk_leaves_the_cache_alone():
+    before = _cached_walk.cache_info()
+    for n in range(UNMEMOIZED_MAX_N + 1):
+        oracle_win_prob(n, memoize=False)
+    assert _cached_walk.cache_info() == before
