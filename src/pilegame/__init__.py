@@ -18,14 +18,13 @@ __version__ = "0.1.0"
 
 #: Submodule -> the public names it defines.
 _MODULES = {
+    "_limits": ("METHODS", "MEMOIZED_MAX_N"),
     "exact": (
-        "E_INVERSE", "FLOAT_SLACK", "METHODS", "LimitGap", "WinTable", "closed_form",
-        "closed_form_table", "derangements", "gap_to_limit", "gf_table", "solve",
-        "solve_recursive", "solve_telescoping",
+        "E_INVERSE", "FLOAT_SLACK", "LimitGap", "WinTable", "closed_form", "closed_form_table",
+        "derangements", "gap_to_limit", "gf_table", "solve", "solve_recursive",
+        "solve_telescoping",
     ),
-    "oracle": (
-        "MEMOIZED_MAX_N", "UNMEMOIZED_MAX_N", "oracle_expected_steps", "oracle_win_prob",
-    ),
+    "oracle": ("UNMEMOIZED_MAX_N", "oracle_expected_steps", "oracle_win_prob"),
     "rng": ("Xoshiro256StarStar", "expand_seed", "splitmix64"),
     "simulate": (
         "Z_BY_LEVEL", "GameOutcome", "SimResult", "TrialSums", "play_game", "run_trial_sums",

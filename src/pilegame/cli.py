@@ -9,31 +9,23 @@ with 17 significant digits and are convenience only. Exit codes: 0 success,
 report was written (a shell's code for a process that SIGPIPE ends).
 
 The parser uses only the standard library: each command is a function with
-a table of its options, which ``_parse`` and ``_values`` read and ``_help``
-lays out. Arguments, ``Error:`` lines and help screens are those of the
-click 8 interface it replaced.
-"""
+a table of its options, which ``_parse`` and ``_values`` read and
+``_help.screen`` lays out. Arguments, ``Error:`` lines and help screens are
+those of the click 8 interface it replaced.
 
-from __future__ import annotations
+Importing this module loads only the parser: the option tables take their
+limits from ``_limits``, help loads ``_help``, and each command imports the
+modules it runs when it runs, so ``--version``, ``--help`` and a usage error
+load no computing module.
+"""
 
 import os
 import sys
-from dataclasses import asdict
-from decimal import (
-    MAX_EMAX, MAX_PREC, Context, Decimal, DivisionByZero, Inexact, InvalidOperation, Overflow,
-    Rounded, localcontext,
-)
-from fractions import Fraction
 from importlib import import_module
-from itertools import islice, repeat
+from itertools import islice
 
 from . import _EXPORTS, __version__
-from .exact import (
-    METHODS, _derangement_counts, _factorials_to, _whole_ints, closed_form, derangements,
-    gap_to_limit, solve, solve_recursive,
-)
-from .oracle import MEMOIZED_MAX_N
-from .rng import MASK64, MAX_PILE
+from ._limits import MASK64, MAX_PILE, MEMOIZED_MAX_N, METHODS, _whole_ints
 
 
 class _UsageError(Exception):
@@ -41,29 +33,40 @@ class _UsageError(Exception):
 
 
 def _lazy(name: str):
-    """``pilegame.<name>``, imported from its module on each call, whose
-    ``ValueError`` is raised as the CLI's usage error (exit 2).
+    """A forwarder to ``pilegame.<name>``, whose ``ValueError`` is raised as
+    the CLI's usage error (exit 2).
 
-    A command that calls none of them never loads the simulator, the steps
-    recursion or the checks. The commands look these names up in the
-    module's globals, as they do the exact functions imported above, so
-    replacing ``pilegame.cli.<name>`` observes or replaces every call.
-    The CLI checks option types and the ranges ``--help`` shows; the library
-    owns every other rule, checked before a command writes to stdout.
-    Trade-off: a table constructor's ``ValueError`` in ``run_checks``, which
-    only a solver fault raises (``verify``'s tests guard that), also exits 2.
+    Its first call imports the name's module and keeps the function in the
+    closure, so a command that calls none of a module's names never loads
+    it, and later calls look up no module. The commands look these names up
+    in this module's globals, which no forwarder rebinds: replacing
+    ``pilegame.cli.<name>`` observes or replaces every call. The CLI checks
+    option types and the ranges ``--help`` shows; the library owns every
+    other rule, checked before a command writes to stdout.
+    Trade-off: a ``ValueError`` that only a fault in the library raises also
+    exits 2, as one from a table constructor in ``run_checks`` (``verify``'s
+    tests guard that) or from an exact route given a value the parser has
+    already checked.
     """
+    target = None
 
     def forward(*args, **kwargs):
-        impl = getattr(import_module(f"{__package__}.{_EXPORTS[name]}"), name)
+        nonlocal target
+        if target is None:
+            target = getattr(import_module(f"{__package__}.{_EXPORTS[name]}"), name)
         try:
-            return impl(*args, **kwargs)
+            return target(*args, **kwargs)
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
 
     return forward
 
 
+solve = _lazy("solve")
+solve_recursive = _lazy("solve_recursive")
+closed_form = _lazy("closed_form")
+derangements = _lazy("derangements")
+gap_to_limit = _lazy("gap_to_limit")
 expected_steps = _lazy("expected_steps")
 run_trials = _lazy("run_trials")
 run_checks = _lazy("run_checks")
@@ -112,23 +115,6 @@ def _emit(rows: list[dict], fmt: str, method: str, seed: int | None = None) -> N
         write(json.dumps({"rows": rows, "meta": meta}, indent=2) + "\n")
 
 
-#: Integer steps in this ``decimal`` context are exact, or raise: the
-#: precision and exponents are the largest there are, and a step that would
-#: round is trapped (``Rounded`` also for trailing zeros, which would print
-#: in exponent notation), as are the default context's traps.
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=-MAX_EMAX,
-                 traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded])
-
-
-def _twins(recurrence, n_max: int, format: str):
-    """For CSV, ``recurrence(n_max, one)``'s values as (int, ``Decimal`` twin)
-    pairs, from ``one = 1`` and ``Decimal(1)``; the ``_EXACT`` context must be
-    current. JSON prints ints, so for it no twin is made: ``None`` for each."""
-    if format == "json":
-        return repeat(None)
-    return zip(recurrence(n_max), recurrence(n_max, Decimal(1)))
-
-
 def _cells(value, scaled=None, fact=None) -> tuple:
     """The numerator and denominator cells of a report's exact ``value``
     (a ``Fraction`` or an int; two empty cells for ``None``).
@@ -153,12 +139,17 @@ def _cells(value, scaled=None, fact=None) -> tuple:
 
 def solve_cmd(n_max: int, method: str, format: str) -> None:
     """Deterministic player's win probability for every n up to --n-max."""
+    from decimal import localcontext
+
+    from ._twins import _EXACT, pairs
+    from .exact import _derangement_counts, _factorials_to
+
     table = solve(n_max, method.replace("-", "_"))
     counts = derangements(n_max)
     rows = []
     with localcontext(_EXACT):  # D_n = d_n/n!, and d_n = d_n/1
-        for n, fact, d_n in zip(range(n_max + 1), _twins(_factorials_to, n_max, format),
-                                _twins(_derangement_counts, n_max, format)):
+        for n, fact, d_n in zip(range(n_max + 1), pairs(_factorials_to, n_max, format),
+                                pairs(_derangement_counts, n_max, format)):
             report = gap_to_limit(n, table)
             num, den = _cells(report.d_exact, d_n, fact)
             rows.append({
@@ -187,6 +178,9 @@ _EXACT_CELLS_MAX_N = 10_000
 
 def simulate(n: int, trials: int, seed: int, workers: int, ci_level: float, format: str) -> None:
     """Monte Carlo estimate of the deterministic player's win probability."""
+    from dataclasses import asdict
+    from fractions import Fraction
+
     result = run_trials(n, trials, seed=seed, workers=workers, ci_level=ci_level)
     d_settled = 1 - closed_form(min(n, _SETTLED_PILE))
     num, den = _cells(1 - closed_form(n) if n <= _EXACT_CELLS_MAX_N else None)
@@ -201,14 +195,18 @@ def simulate(n: int, trials: int, seed: int, workers: int, ci_level: float, form
 
 def steps(n_max: int, format: str) -> None:
     """Expected number of random-player moves E(Z_n) and differences E(Q_n)."""
+    from decimal import localcontext
+
+    from ._twins import _EXACT, pairs
+    from .exact import _factorials_to
     from .steps import _scaled_steps
 
     table = expected_steps(n_max)
     rows, last = [], (0, 0)  # t_0 = 0, so q_1 is t_1; no row prints it
     with localcontext(_EXACT):  # E(Z_n) = t_n/n! and E(Q_n) = (t_n - n*t_{n-1})/n!
         for n, fact, t_n in zip(range(1, n_max + 1),
-                                islice(_twins(_factorials_to, n_max, format), 1, None),  # from 1!
-                                _twins(_scaled_steps, n_max, format)):
+                                islice(pairs(_factorials_to, n_max, format), 1, None),  # from 1!
+                                pairs(_scaled_steps, n_max, format)):
             ez = table.ez_at(n)
             q_n = t_n and tuple(t - n * t_last for t, t_last in zip(t_n, last))
             ez_num, ez_den = _cells(ez, t_n, fact)
@@ -385,52 +383,6 @@ def _values(given: dict, options: dict) -> dict:
     return {flag[2:].replace("-", "_"): value for flag, value in values.items()}
 
 
-def _help(usage: str, doc: str, options: dict, width: int | None, commands=None) -> str:
-    """A help screen as click 8 lays it out, ``width`` columns wide (by
-    default the terminal's width less 2, from 50 up to 78)."""
-    import shutil
-    from textwrap import fill
-
-    if width is None:
-        width = max(min(shutil.get_terminal_size().columns, 80) - 2, 50)
-
-    def columns(rows: list[tuple[str, str]]) -> list[str]:
-        """Terms, each with its text wrapped to its right."""
-        col = min(max(len(term) for term, _ in rows), 30) + 2
-        lines = []
-        for term, text in rows:
-            first, *more = fill(text, max(width - col - 2, 10)).split("\n")
-            if len(term) <= col - 2:
-                lines.append(f"  {term:<{col}}{first}")
-            else:
-                lines += [f"  {term}", " " * (col + 2) + first]
-            lines += [" " * (col + 2) + line for line in more]
-        return lines
-
-    rows = []
-    for flag, (kind, default, text) in options.items():
-        extra = [kind[1]] if kind and kind[1] else []
-        extra += ["required"] if default is None else []
-        rows.append((f"{flag} {kind[0]}" if kind else flag,
-                     f"{text}  [{'; '.join(extra)}]" if extra else text))
-    lines = [f"Usage: {usage}", ""]
-    lines += [fill(" ".join(paragraph.split()), width, initial_indent="  ", subsequent_indent="  ")
-              + "\n" for paragraph in doc.split("\n\n")]
-    lines += ["Options:", *columns(rows)]
-    if commands:
-        limit = width - 6 - max(map(len, commands))
-        lines += ["", "Commands:", *columns([(name, _short(command.__doc__, limit))
-                                             for name, (command, _) in commands.items()])]
-    return "\n".join(lines) + "\n"
-
-
-def _short(doc: str, limit: int) -> str:
-    """The first paragraph of ``doc`` on one line, cut after a word with
-    "..." to at most ``limit`` characters if longer."""
-    text = " ".join(doc.partition("\n\n")[0].split())
-    return text if len(text) <= limit else text[: limit - 2].rpartition(" ")[0] + "..."
-
-
 def _program_name() -> str:
     """``python -m <package>`` when run as a module, else the script's name."""
     package = getattr(sys.modules["__main__"], "__package__", None)
@@ -465,8 +417,10 @@ def main(args=None, prog_name: str | None = None, terminal_width: int | None = N
             if "--version" == next(iter(given), None):
                 sys.stdout.write(f"{path}, version {__version__}\n")
             elif "--help" in given or not args:  # no arguments: help, as a usage error
-                screen = _help(usage, doc, options, terminal_width, commands)
-                (sys.stdout if args else sys.stderr).write(screen)
+                from ._help import screen
+
+                (sys.stdout if args else sys.stderr).write(
+                    screen(usage, doc, options, terminal_width, commands))
                 code = 0 if args else 2
             else:
                 values = _values(given, options)

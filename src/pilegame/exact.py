@@ -48,15 +48,15 @@ cross-method equality checks tolerance-free.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, islice
 from operator import mul
 from typing import Iterator
+
+from ._limits import METHODS
 
 #: Nearest double to 1/e; reference point for the convergence diagnostic.
 E_INVERSE = math.exp(-1.0)
@@ -67,24 +67,6 @@ FLOAT_SLACK = Fraction(1, 2**48)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-@contextlib.contextmanager
-def _whole_ints() -> Iterator[None]:
-    """Lift CPython's int-to-str digit limit for the block, then restore it.
-    d_n and n! pass its default 4300 digits from n = 1559 on. The CSV cells of
-    ``solve`` and ``steps`` print from ``Decimal`` twins, which the limit does
-    not cover, but JSON reports, ``simulate``'s d_exact cells, a value that
-    falls back to its ints and ``verify``'s check details print ints whole.
-    Python 3.10.0-3.10.6 have no limit."""
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
 
 
 def _times(fact: int, value: Fraction) -> int | Fraction:
@@ -352,15 +334,8 @@ def gf_table(n_max: int) -> WinTable:
     return WinTable._over_factorials(scaled, method="gf")
 
 
-_SOLVERS = {
-    "recursive": solve_recursive,
-    "telescoping": solve_telescoping,
-    "closed_form": closed_form_table,
-    "gf": gf_table,
-}
-
-#: Valid ``WinTable.method`` tags, one per solver path.
-METHODS = tuple(_SOLVERS)
+#: Method tag -> solver, in the order of ``METHODS``.
+_SOLVERS = dict(zip(METHODS, (solve_recursive, solve_telescoping, closed_form_table, gf_table)))
 
 
 def solve(n_max: int, method: str) -> WinTable:

@@ -13,7 +13,8 @@ only, not semantics, and can be switched off to keep the evaluation a
 pure tree walk. The cached walk visits each pile once per process, O(n^2)
 ``Fraction`` work. The pure walk's call count grows like a Fibonacci
 sequence in n, so its small-n guard keeps it short. The cached mode's
-limit is the bound ``verify --oracle-max`` accepts.
+limit, ``MEMOIZED_MAX_N`` (defined in ``_limits``), is the bound ``verify
+--oracle-max`` accepts.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-#: Largest n accepted with the per-pile cache enabled.
-MEMOIZED_MAX_N = 14
+from ._limits import MEMOIZED_MAX_N
 
 #: Largest n accepted for the pure, cache-free tree walk.
 UNMEMOIZED_MAX_N = 10

@@ -26,11 +26,7 @@ from itertools import chain
 from operator import getitem, xor
 from typing import Callable, Iterable, Iterator
 
-MASK64 = (1 << 64) - 1
-
-#: Largest bound ``draw`` accepts, and so the largest pile the simulator
-#: plays: a draw keeps the top bits of one 64-bit output.
-MAX_PILE = 1 << 64
+from ._limits import MASK64, MAX_PILE
 
 #: Outputs each lane of ``stream`` produces per batch, and so the distance
 #: of ``jump``.

@@ -52,11 +52,11 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from operator import mul
 
+from ._limits import MEMOIZED_MAX_N, _whole_ints
 from .exact import (
     FLOAT_SLACK,
     WinTable,
     _times,
-    _whole_ints,
     closed_form_table,
     derangements,
     gap_to_limit,
@@ -64,7 +64,7 @@ from .exact import (
     solve_recursive,
     solve_telescoping,
 )
-from .oracle import MEMOIZED_MAX_N, UNMEMOIZED_MAX_N, oracle_expected_steps, oracle_win_prob
+from .oracle import UNMEMOIZED_MAX_N, oracle_expected_steps, oracle_win_prob
 from .steps import StepsTable, expected_steps, q_sequence
 
 #: limit-gap is checked for n up to this value (beyond it the exact bound

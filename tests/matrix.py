@@ -44,7 +44,7 @@ TIER1 = [
 VERSION = "import sys; print('%d.%d.%d' % sys.version_info[:3])"
 SMOKE = """
 import sys
-from pilegame.exact import _whole_ints
+from pilegame._limits import _whole_ints
 from pilegame.rng import expand_seed
 from pilegame.simulate import _run_block, play_game
 from pilegame.verify import run_checks

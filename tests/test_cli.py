@@ -4,6 +4,7 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -12,19 +13,20 @@ import subprocess
 import sys
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pilegame._twins as twins
 import pilegame.cli as cli
 import pilegame.verify
-from pilegame.oracle import MEMOIZED_MAX_N
+from pilegame._limits import MASK64, MAX_PILE, MEMOIZED_MAX_N, METHODS, _whole_ints
 from pilegame.exact import (
-    E_INVERSE, FLOAT_SLACK, METHODS, _factorials_to, _whole_ints, closed_form, derangements, solve,
+    E_INVERSE, FLOAT_SLACK, _factorials_to, closed_form, derangements, gap_to_limit, solve,
     solve_recursive, solve_telescoping,
 )
-from pilegame.rng import MASK64, MAX_PILE
 from pilegame.simulate import _INLINE_WORK_LIMIT, Z_BY_LEVEL, SimResult
 from pilegame.steps import StepsTable, expected_steps
 
@@ -262,7 +264,7 @@ def test_verify_passes_and_exits_zero():
 
 
 def test_verify_rejects_oracle_bound_overrun():
-    _assert_usage_error("verify", "--oracle-max", "15", says="'--oracle-max'")
+    _assert_usage_error("verify", "--oracle-max", "101", says="'--oracle-max'")
 
 
 def test_verify_rejects_oracle_above_n_max():
@@ -458,9 +460,9 @@ def test_twin_context_is_exact_and_traps_every_rounding():
     """A twin's step that rounds raises, so a dropped trap or a lowered
     precision cannot pass silently. (``Decimal(1) / 3`` raises MemoryError at
     this precision before any trap: it would need MAX_PREC digits.)"""
-    context = cli._EXACT
+    context = twins._EXACT
     assert (context.prec, context.Emax, context.Emin) == (MAX_PREC, MAX_EMAX, -MAX_EMAX)
-    with localcontext(cli._EXACT) as context:
+    with localcontext(twins._EXACT) as context:
         with pytest.raises(Inexact):
             Decimal("2.5").to_integral_exact()
         # 20! = 2432902008176640000 keeps its value at 18 digits, but only as
@@ -480,7 +482,7 @@ def test_cells_take_the_twins_exactly_when_their_ints_hold_the_value(value, g, f
     value's denominator and scaled/fact is the value; else the value's ints."""
     fact = max(value.denominator * g + fact_off, 1)
     scaled = value.numerator * g + scaled_off
-    with localcontext(cli._EXACT):
+    with localcontext(twins._EXACT):
         cells = cli._cells(value, (scaled, Decimal(scaled)), (fact, Decimal(fact)))
     holds = fact % value.denominator == 0 and Fraction(scaled, fact) == value
     assert cells == (value.numerator, value.denominator)
@@ -501,7 +503,7 @@ def test_json_reports_build_no_twin(args, monkeypatch):
     def no_twin(*args):
         raise AssertionError("a Decimal twin was built")
 
-    monkeypatch.setattr(cli, "Decimal", no_twin)
+    monkeypatch.setattr(twins, "Decimal", no_twin)
     result = _run(*args.split(), "--format", "json")
     assert (result.exit_code, result.stdout) == (0, expected.stdout)
     with pytest.raises(AssertionError, match="twin was built"):  # CSV builds them
@@ -645,7 +647,7 @@ GOLDEN_STDOUT = {
     "solve --help": "3e0226b549b6dbb9",
     "simulate --help": "68bae3a1a4fe626d",
     "steps --help": "9f3779d8b6f819f0",
-    "verify --help": "78b0e23ac3749108",
+    "verify --help": "31adf8ecf2a4ff6a",  # --oracle-max shows its cap of 100
     "convergence --help": "11a30128852972a9",
     "solve --n-max 12": "79c7a98be0bf3185",
     "solve --n-max 12 --method telescoping --format json": "265042bab92c0f40",
@@ -770,6 +772,57 @@ def test_commands_call_the_wrapped_names_through_the_cli_module(name, monkeypatc
     result = _run(*WRAPPED_NAMES[name].split())
     assert result.exit_code == 0, result.output
     assert calls
+
+
+#: In a fresh interpreter: import every pilegame module, note the object
+#: each of their globals holds, run the commands given as arguments
+#: in-process, then print each global that holds another object. The
+#: benchmark fails a run on any of them (``perfbench/spans.assert_pristine``).
+_REBOUND_GLOBALS = """
+import importlib, pkgutil, sys
+sys.path.insert(0, sys.argv[1])
+import pilegame
+for info in pkgutil.iter_modules(pilegame.__path__):
+    if info.name != "__main__":  # which would run the CLI
+        importlib.import_module("pilegame." + info.name)
+from cli_runner import run_cli
+modules = [module for name, module in sys.modules.items() if name.partition(".")[0] == "pilegame"]
+before = {(m.__name__, key): value for m in modules for key, value in vars(m).items()}
+for args in sys.argv[2:]:
+    assert run_cli(args.split()).exit_code == 0, args
+print(*sorted(f"{name}.{key}" for (name, key), value in before.items()
+              if vars(sys.modules[name]).get(key) is not value))
+"""
+
+
+def test_commands_rebind_no_global_of_the_package():
+    """The forwarders keep their targets to themselves: every command, run
+    once where none has run, leaves each global of each module as it was."""
+    commands = [
+        "--version", "--help", *(f"{name} --help" for name in cli._COMMANDS),
+        *(f"solve --n-max 5 --method {method.replace('_', '-')}" for method in METHODS),
+        "solve --n-max 5 --format json", "steps --n-max 5", "steps --n-max 5 --format json",
+        "convergence --n-max 5", "verify --n-max 10 --oracle-max 4", "simulate --n 5 --trials 100",
+    ]
+    tests = str(Path(__file__).resolve().parent)
+    run = subprocess.run([sys.executable, "-c", _REBOUND_GLOBALS, tests, *commands],
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "\n", "")
+
+
+def test_a_forwarder_imports_its_target_once(monkeypatch):
+    imported = []
+
+    def counting(name):
+        imported.append(name)
+        return importlib.import_module(name)
+
+    monkeypatch.setattr(cli, "import_module", counting)
+    forward = cli._lazy("gap_to_limit")
+    table = solve_recursive(1000)
+    reports = [forward(n, table) for n in range(1001)]
+    assert imported == ["pilegame.exact"]
+    assert reports == [gap_to_limit(n, table) for n in range(1001)]
 
 
 @pytest.mark.parametrize("args", ["verify --n-max 20 --oracle-max 6", "solve --n-max 5"])

@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pilegame._limits import _whole_ints
 from pilegame.exact import (
     E_INVERSE,
     WinTable,
     _derangement_counts,
     _factorials_to,
     _times,
-    _whole_ints,
     closed_form,
     closed_form_table,
     derangements,
@@ -228,7 +228,7 @@ def test_factorials_give_one_per_value_from_the_first_k(table, count):
 def test_decimal_twins_print_as_their_ints(recurrence, n_max):
     """A recurrence run from Decimal(1) in the CLI's exact context gives the
     values it gives from 1, and each prints as the int does."""
-    from pilegame.cli import _EXACT
+    from pilegame._twins import _EXACT
 
     with localcontext(_EXACT):
         twins = list(recurrence(n_max, Decimal(1)))

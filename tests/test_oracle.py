@@ -71,21 +71,21 @@ def test_matches_per_branch_walk_up_to_limit(memoize, limit):
 
 
 def test_matches_analytic_solver_up_to_limit():
-    table = solve_recursive(14)
-    steps = expected_steps(14)
-    for n in range(15):
+    table = solve_recursive(MEMOIZED_MAX_N)
+    steps = expected_steps(MEMOIZED_MAX_N)
+    for n in range(MEMOIZED_MAX_N + 1):
         assert oracle_win_prob(n) == table.d(n), f"n={n}"
-    for n in range(1, 15):
+    for n in range(1, MEMOIZED_MAX_N + 1):
         assert oracle_expected_steps(n) == steps.ez_at(n), f"n={n}"
 
 
 def test_depth_guards():
     for quantity in (oracle_win_prob, oracle_expected_steps):
-        with pytest.raises(ValueError, match="n=15 exceeds the memoized enumeration limit of 14"):
-            quantity(15)
+        with pytest.raises(ValueError, match="n=101 exceeds the memoized enumeration limit of 100"):
+            quantity(101)
         with pytest.raises(ValueError, match="n=11 exceeds the unmemoized enumeration limit of 10"):
             quantity(11, memoize=False)
-        quantity(14)  # at the limit: allowed
+        quantity(100)  # at the limit: allowed
         quantity(10, memoize=False)
 
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 
@@ -15,9 +17,17 @@ def _fresh(code: str) -> str:
     return out.stdout.strip()
 
 
+#: Standard modules that only computing needs: ``dataclasses`` (with
+#: ``inspect``) for the tables, ``fractions`` for exact values, and
+#: ``decimal``, which ``fractions`` imports on every supported Python.
+COMPUTING_STDLIB = ["dataclasses", "decimal", "fractions"]
+
+
 def _loaded(code: str) -> list[str]:
-    """The pilegame modules loaded after running ``code`` in a new interpreter."""
-    listing = "; import sys; print(*sorted(m for m in sys.modules if m.startswith('pilegame')))"
+    """The pilegame modules and those of ``COMPUTING_STDLIB`` loaded after
+    running ``code`` in a new interpreter."""
+    listing = ("; import sys; print(*sorted(m for m in sys.modules"
+               f" if m.startswith('pilegame') or m in {COMPUTING_STDLIB!r}))")
     return _fresh(code + listing).split()
 
 
@@ -25,16 +35,59 @@ def test_import_pilegame_loads_no_submodule():
     assert _loaded("import pilegame") == ["pilegame"]
 
 
+#: What ``import pilegame.cli`` loads, and so every invocation: the parser.
+CLI_MODULES = ["pilegame", "pilegame._limits", "pilegame.cli"]
+
+
 def test_import_cli_loads_only_what_every_command_needs():
-    assert _loaded("import pilegame.cli") == [
-        "pilegame", "pilegame.cli", "pilegame.exact", "pilegame.oracle", "pilegame.rng",
-    ]
+    assert _loaded("import pilegame.cli") == CLI_MODULES
 
 
-#: The pilegame modules ``python -m pilegame`` imports for each command
-#: below, and what the command prints. Neither loads the simulator, the
-#: steps recursion or the checks; a change to what start-up imports shows.
-START_UP_MODULES = ["pilegame", "pilegame.cli", "pilegame.exact", "pilegame.oracle", "pilegame.rng"]
+#: What each invocation of ``python -m pilegame`` loads besides
+#: ``CLI_MODULES``, of the package and of ``COMPUTING_STDLIB``: help, a
+#: usage error and the version load no computing module, and a command
+#: loads the modules it runs. A change to what an invocation imports shows.
+LOADS = {
+    "--version": [],
+    "--help": ["pilegame._help"],
+    "solve --n-mx 3": [],  # a usage error
+    "solve --n-max 3": [*COMPUTING_STDLIB, "pilegame._twins", "pilegame.exact"],
+    "steps --n-max 3": [*COMPUTING_STDLIB, "pilegame._twins", "pilegame.exact", "pilegame.steps"],
+    "convergence --n-max 3": [*COMPUTING_STDLIB, "pilegame.exact"],
+    "verify --n-max 3 --oracle-max 3": [
+        *COMPUTING_STDLIB, "pilegame.exact", "pilegame.oracle", "pilegame.steps", "pilegame.verify",
+    ],
+    "simulate --n 3 --trials 10": [
+        *COMPUTING_STDLIB, "pilegame.exact", "pilegame.rng", "pilegame.simulate",
+    ],
+}
+
+#: ``python -m pilegame`` as ``-m`` runs it, then every loaded module's
+#: name on the last line of stderr.
+_RUN_MAIN = """
+import atexit, runpy, sys
+atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))
+runpy.run_module("pilegame", run_name="__main__", alter_sys=True)
+"""
+
+
+def _invoke(args: str) -> tuple[int, str, list[str]]:
+    """(exit code, stdout, every module loaded) of ``python -m pilegame`` on ``args``."""
+    run = subprocess.run([sys.executable, "-c", _RUN_MAIN, *args.split()],
+                         capture_output=True, text=True)
+    return run.returncode, run.stdout, run.stderr.splitlines()[-1].split()
+
+
+@pytest.mark.parametrize("args", LOADS)
+def test_each_invocation_loads_only_what_it_runs(args):
+    code, _, modules = _invoke(args)
+    assert code == (2 if "--n-mx" in args else 0)
+    loaded = [m for m in modules if m.startswith("pilegame") or m in COMPUTING_STDLIB]
+    assert loaded == sorted(CLI_MODULES + LOADS[args])
+
+
+#: What two invocations print; neither loads click, whose interface the
+#: parser reproduces.
 START_UP_STDOUT = {
     "--version": "python -m pilegame, version 0.1.0\n",
     "solve --n-max 3": (
@@ -50,14 +103,10 @@ START_UP_STDOUT = {
 def test_cli_start_up_loads_no_click():
     assert _fresh("import sys, pilegame.cli; print(*(m for m in sys.modules if 'click' in m))") == ""
     for args, stdout in START_UP_STDOUT.items():
-        run = subprocess.run([sys.executable, "-X", "importtime", "-m", "pilegame", *args.split()],
-                             capture_output=True, text=True, check=True)
-        assert run.stdout == stdout, args
-        loaded = [line.rpartition("|")[2].strip() for line in run.stderr.splitlines()]
-        assert "pilegame.cli" in loaded
-        assert [name for name in loaded if "click" in name] == []
-        assert sorted(name for name in loaded if name.partition(".")[0] == "pilegame") == (
-            START_UP_MODULES), args
+        code, out, modules = _invoke(args)
+        assert (code, out) == (0, stdout), args
+        assert "pilegame.cli" in modules
+        assert [name for name in modules if "click" in name] == []
 
 
 def test_every_public_name_is_its_submodules_object():

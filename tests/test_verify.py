@@ -328,7 +328,7 @@ def test_run_checks_validates_arguments():
     with pytest.raises(ValueError):
         run_checks(n_max=1, oracle_max=1)
     with pytest.raises(ValueError):
-        run_checks(n_max=200, oracle_max=15)
+        run_checks(n_max=200, oracle_max=101)
     with pytest.raises(ValueError):
         run_checks(n_max=10, oracle_max=12)
 
