@@ -1,8 +1,12 @@
 """The limits that the CLI's option tables share with the modules behind them.
 
-Each name here has this one definition: ``exact``, ``oracle``, ``rng`` and
-``cli`` import it from this module, which uses only ``sys``, so the CLI can
-parse its options and lay out its help without loading any of the others.
+Each name here has this one definition: ``exact``, ``steps``, ``oracle``,
+``rng``, ``simulate``, ``verify`` and ``cli`` import it from this module, and
+the package's ``__init__`` reads ``METHODS`` and ``MEMOIZED_MAX_N`` from it.
+It uses only ``sys``, so the CLI can parse its options and lay out its help
+without loading any of the others. ``_at_least`` owns the lower bound of
+every size argument and its one message; only ``Xoshiro256StarStar.draw``,
+which runs once per draw, checks its bound inline.
 """
 
 import sys
@@ -19,6 +23,12 @@ MASK64 = (1 << 64) - 1
 #: Largest bound ``draw`` accepts, and so the largest pile the simulator
 #: plays: a draw keeps the top bits of one 64-bit output.
 MAX_PILE = 1 << 64
+
+
+def _at_least(name: str, value: int, low: int) -> None:
+    """Raise ``ValueError`` unless the argument ``name`` is at least ``low``."""
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 class _whole_ints:

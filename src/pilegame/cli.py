@@ -141,15 +141,14 @@ def solve_cmd(n_max: int, method: str, format: str) -> None:
     """Deterministic player's win probability for every n up to --n-max."""
     from decimal import localcontext
 
-    from ._twins import _EXACT, pairs
-    from .exact import _derangement_counts, _factorials_to
+    from .exact import _EXACT, _derangement_counts, _factorials_to, _twins
 
     table = solve(n_max, method.replace("-", "_"))
     counts = derangements(n_max)
     rows = []
     with localcontext(_EXACT):  # D_n = d_n/n!, and d_n = d_n/1
-        for n, fact, d_n in zip(range(n_max + 1), pairs(_factorials_to, n_max, format),
-                                pairs(_derangement_counts, n_max, format)):
+        for n, fact, d_n in zip(range(n_max + 1), _twins(_factorials_to, n_max, format),
+                                _twins(_derangement_counts, n_max, format)):
             report = gap_to_limit(n, table)
             num, den = _cells(report.d_exact, d_n, fact)
             rows.append({
@@ -197,16 +196,15 @@ def steps(n_max: int, format: str) -> None:
     """Expected number of random-player moves E(Z_n) and differences E(Q_n)."""
     from decimal import localcontext
 
-    from ._twins import _EXACT, pairs
-    from .exact import _factorials_to
+    from .exact import _EXACT, _factorials_to, _twins
     from .steps import _scaled_steps
 
     table = expected_steps(n_max)
     rows, last = [], (0, 0)  # t_0 = 0, so q_1 is t_1; no row prints it
     with localcontext(_EXACT):  # E(Z_n) = t_n/n! and E(Q_n) = (t_n - n*t_{n-1})/n!
         for n, fact, t_n in zip(range(1, n_max + 1),
-                                islice(pairs(_factorials_to, n_max, format), 1, None),  # from 1!
-                                pairs(_scaled_steps, n_max, format)):
+                                islice(_twins(_factorials_to, n_max, format), 1, None),  # from 1!
+                                _twins(_scaled_steps, n_max, format)):
             ez = table.ez_at(n)
             q_n = t_n and tuple(t - n * t_last for t, t_last in zip(t_n, last))
             ez_num, ez_den = _cells(ez, t_n, fact)

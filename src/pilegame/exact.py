@@ -44,19 +44,29 @@ alternating-series rate 1/(n+1)!; ``gap_to_limit`` measures that gap.
 Floating point appears only in ``gap_to_limit`` output; every other value
 read is a reduced ``fractions.Fraction`` or an integer, which keeps all
 cross-method equality checks tolerance-free.
+
+The CSV reports of ``solve`` and ``steps`` print their big integer cells
+from ``Decimal`` twins, made here by ``_twins``: ``_factorials_to``,
+``_derangement_counts`` and ``steps._scaled_steps`` run again from
+``Decimal(1)`` in the exact context ``_EXACT``. ``fractions`` imports
+``decimal`` already, so the twins cost this module no import.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from decimal import (
+    MAX_EMAX, MAX_PREC, Context, Decimal, DivisionByZero, Inexact, InvalidOperation, Overflow,
+    Rounded,
+)
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from operator import mul
-from typing import Iterator
 
-from ._limits import METHODS
+from ._limits import METHODS, _at_least
 
 #: Nearest double to 1/e; reference point for the convergence diagnostic.
 E_INVERSE = math.exp(-1.0)
@@ -89,7 +99,8 @@ class _FactorialRow:
     ``divmod`` per value, the Fractions with one gcd per value. Value i of
     the table belongs to k = i + ``_FIRST``. ``dataclasses.replace`` goes
     through the constructor, so a copy never carries the old row. It owns
-    ``n_max``, the constructor's check, k! and the steps (``_difference``).
+    ``n_max``, the constructor's check, k!, the steps (``_difference``) and
+    the range check of an index by pile size (``_at``).
     """
 
     _VALUES: str  # name of the dataclass field that holds the Fractions
@@ -138,6 +149,12 @@ class _FactorialRow:
         values = getattr(self, self._VALUES)
         return tuple(map(_times, self._factorials(len(values)), values))
 
+    def _at(self, n: int, low: int) -> int:
+        """Index of pile ``n``'s value; ``IndexError`` unless n is in low..n_max."""
+        if not low <= n <= self.n_max:
+            raise IndexError(f"n={n} outside table range {low}..{self.n_max}")
+        return n - self._FIRST
+
     def _difference(self, k: int) -> int | Fraction:
         """k!*(v_k - v_{k-1}) = a_k - k*a_{k-1}, for k in ``_FIRST`` + 1..n_max."""
         row, i = self.scaled, k - self._FIRST
@@ -171,9 +188,7 @@ class WinTable(_FactorialRow):
 
     def d(self, n: int) -> Fraction:
         """Deterministic player's win probability D_n = 1 - R_n."""
-        if not 0 <= n <= self.n_max:
-            raise IndexError(f"n={n} outside table range 0..{self.n_max}")
-        return 1 - self.r[n]
+        return 1 - self.r[self._at(n, 0)]
 
 
 @dataclass(frozen=True)
@@ -203,8 +218,7 @@ def solve_recursive(n_max: int) -> WinTable:
     Seeds R_0 = 0, R_1 = 1 and applies the recurrence from n = 2 up (it
     already holds at n = 2, where it gives the expected 1/2).
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    _at_least("n_max", n_max, 0)
     r = [_ZERO]
     if n_max >= 1:
         r.append(_ONE)
@@ -219,8 +233,7 @@ def solve_telescoping(n_max: int) -> WinTable:
     The difference a_n = R_n - R_{n-1} satisfies a_n = -a_{n-1}/n with
     a_1 = 1, so a_n = (-1)^(n+1)/n! and R_n = a_1 + ... + a_n from R_0 = 0.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    _at_least("n_max", n_max, 0)
     r = [_ZERO]
     fact = 1
     for n in range(1, n_max + 1):
@@ -252,8 +265,7 @@ def closed_form(n: int) -> Fraction:
     count d_n by its one-term recurrence; ``derangements`` uses the
     two-term one and shares no value with this route.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _at_least("n", n, 0)
     for s_n in _horner_sums(n):
         pass
     fact = math.factorial(n)
@@ -267,8 +279,7 @@ def closed_form_table(n_max: int) -> WinTable:
     table k!-scaled, R_k = (k! - s_k)/k!: O(n_max) big-integer steps and no
     gcd. Each R_k is reduced when ``r`` is first read.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    _at_least("n_max", n_max, 0)
     scaled = tuple(fact - s_k for fact, s_k in zip(_factorials_to(n_max), _horner_sums(n_max)))
     return WinTable._over_factorials(scaled, method="closed_form")
 
@@ -279,8 +290,7 @@ def derangements(n_max: int) -> tuple[int, ...]:
     Big-integer throughout: d_0 = 1, d_1 = 0 and
     d_n = (n-1) * (d_{n-1} + d_{n-2}).
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    _at_least("n_max", n_max, 0)
     return tuple(_derangement_counts(n_max))
 
 
@@ -303,6 +313,24 @@ def _factorials_to(n_max: int, one=1) -> Iterator:
     return accumulate(range(1, n_max + 1), mul, initial=one)
 
 
+#: Integer steps in this ``decimal`` context are exact, or raise: the
+#: precision and exponents are the largest there are, and a step that would
+#: round is trapped (``Rounded`` also for trailing zeros, which would print
+#: in exponent notation), as are the default context's traps.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=-MAX_EMAX,
+                 traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded])
+
+
+def _twins(recurrence, n_max: int, format: str):
+    """For CSV, ``recurrence(n_max, one)``'s values as (int, ``Decimal`` twin)
+    pairs, from ``one = 1`` and ``Decimal(1)``; the ``_EXACT`` context must be
+    current. A twin's ``str`` is its int's, in linear time. JSON prints ints,
+    so for it no twin is made: ``None`` for each."""
+    if format == "json":
+        return repeat(None)
+    return zip(recurrence(n_max), recurrence(n_max, Decimal(1)))
+
+
 def gf_table(n_max: int) -> WinTable:
     """R_n as coefficients 0..n_max of (sum_i x^i) * (1 - sum_j (-x)^j / j!).
 
@@ -319,8 +347,7 @@ def gf_table(n_max: int) -> WinTable:
     ``solve_telescoping`` and ``closed_form`` also compute, here in a third
     arithmetic: the route derives its own series and calls no other route.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    _at_least("n_max", n_max, 0)
     # n_max! times the coefficients of 1 - sum (-x)^j / j!, and n_max!/j!.
     exp_part = [0] * (n_max + 1)
     ratios = [0] * (n_max + 1)

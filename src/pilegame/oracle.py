@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from ._limits import MEMOIZED_MAX_N
+from ._limits import MEMOIZED_MAX_N, _at_least
 
 #: Largest n accepted for the pure, cache-free tree walk.
 UNMEMOIZED_MAX_N = 10
@@ -68,8 +68,7 @@ def oracle_win_prob(n: int, memoize: bool = True) -> Fraction:
     n = 0 is the boundary convention: the random player cannot win a game
     it never gets to play, so the deterministic player's probability is 1.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _at_least("n", n, 0)
     if n == 0:
         return _ONE
     return _root(n, memoize)[0]
@@ -77,6 +76,5 @@ def oracle_win_prob(n: int, memoize: bool = True) -> Fraction:
 
 def oracle_expected_steps(n: int, memoize: bool = True) -> Fraction:
     """Exact expected number of random-player moves from ``n`` (n >= 1)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _at_least("n", n, 1)
     return _root(n, memoize)[1]

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections.abc import Callable, Iterable, Iterator
 from functools import cache, reduce
 from itertools import chain
 from operator import getitem, xor
-from typing import Callable, Iterable, Iterator
 
 from ._limits import MASK64, MAX_PILE
 

@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache, reduce
-from typing import NamedTuple
 
-from .rng import MASK64, MAX_PILE, _top_bytes, expand_seed, splitmix64, stream
+from ._limits import MASK64, MAX_PILE, _at_least
+from .rng import _top_bytes, expand_seed, splitmix64, stream
 
 #: z-values for the supported two-sided confidence levels. Levels outside
 #: this table are rejected rather than approximated with an inverse-normal
@@ -47,11 +48,10 @@ Z_BY_LEVEL = {
 _INLINE_WORK_LIMIT = 400_000
 
 
-class GameOutcome(NamedTuple):
-    """One playout's result: who emptied the pile, and how many moves R made."""
+class GameOutcome(namedtuple("GameOutcome", ("winner", "r_steps"))):
+    """One playout's result: who emptied the pile ("R" or "D"), and how many moves R made."""
 
-    winner: str  # "R" or "D"
-    r_steps: int
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,7 @@ def play_game(n: int, rng) -> GameOutcome:
     Returns:
         The winner and the number of moves the random player made.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _at_least("n", n, 1)
     pile = n
     r_steps = 0
     while True:
@@ -228,14 +227,11 @@ def run_trial_sums(n: int, trials: int, seed: int = 0, workers: int = 1) -> Tria
     Exposed separately so callers that need the second moment of the step
     count (for an empirical variance) can get it from the same single pass.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _at_least("n", n, 1)
     if n > MAX_PILE:
         raise ValueError(f"n must be at most 2**64 (one 64-bit output per draw), got {n}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _at_least("trials", trials, 1)
+    _at_least("workers", workers, 1)
     if not 0 <= seed <= MASK64:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
     blocks = min(workers, trials)  # workers past ``trials`` would get empty blocks
@@ -308,8 +304,7 @@ def wilson_interval(wins: int, trials: int, ci_level: float = 0.99) -> tuple[flo
     Returns:
         (low, high) with low <= wins/trials <= high.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _at_least("trials", trials, 1)
     if not 0 <= wins <= trials:
         raise ValueError(f"wins={wins} outside 0..{trials}")
     z = _z(ci_level)

@@ -22,10 +22,11 @@ keeps its ``Fraction`` arithmetic, which is what keeps it a route of its own.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
+from ._limits import _at_least
 from .exact import _FactorialRow
 
 
@@ -54,15 +55,12 @@ class StepsTable(_FactorialRow):
 
     def ez_at(self, n: int) -> Fraction:
         """E(Z_n); n must be in 1..n_max."""
-        if not 1 <= n <= self.n_max:
-            raise IndexError(f"n={n} outside table range 1..{self.n_max}")
-        return self.ez[n - 1]
+        return self.ez[self._at(n, 1)]
 
     def eq_at(self, n: int) -> Fraction:
         """E(Q_n) = E(Z_n) - E(Z_{n-1}); n must be in 2..n_max."""
-        if not 2 <= n <= self.n_max:
-            raise IndexError(f"n={n} outside table range 2..{self.n_max}")
-        return self.ez[n - 1] - self.ez[n - 2]
+        i = self._at(n, 2)
+        return self.ez[i] - self.ez[i - 1]
 
 
 def expected_steps(n_max: int) -> StepsTable:
@@ -74,8 +72,7 @@ def expected_steps(n_max: int) -> StepsTable:
     holds t_n over n!, and each E(Z_n) is reduced when ``ez`` is first
     read. ``StepsTable.eq_at`` takes the differences E(Q_n) on read.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    _at_least("n_max", n_max, 1)
     return StepsTable._over_factorials(tuple(_scaled_steps(n_max)))
 
 
@@ -101,8 +98,7 @@ def q_sequence(n_max: int) -> tuple[Fraction, ...]:
     Iterates E(Q_n) = (1 - E(Q_{n-1}))/n from E(Q_2) = 0, never touching
     ``expected_steps``; element i of the result corresponds to n = i + 2.
     """
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
+    _at_least("n_max", n_max, 2)
     values = [Fraction(0)]
     for n in range(3, n_max + 1):
         values.append((1 - values[-1]) / n)

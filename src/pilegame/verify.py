@@ -34,10 +34,9 @@ rows, n!*R_n and n!*E(Z_n), which a route hands over as built and a table of
 ``Fraction``s makes with one ``divmod`` per value, and ``_times`` for the
 E(Q_n) and the game tree's values. A scaled value is an int where the
 value's denominator divides n!, as on every table ``run_checks`` builds, and
-otherwise the exact ``Fraction`` n!*value. A table also gives its n!
-(``_factorials``) and its steps a_n - n*a_{n-1} (``_difference``); only the
-E(Q_n), a route's tuple and not a table, keep a running n! of their own.
-So each check is one expression, the row identity itself, e.g.
+otherwise the exact ``Fraction`` n!*value. n! comes from the factorial row,
+``exact._factorials_to`` (a table's ``_factorials``), and a table also gives
+its steps a_n - n*a_{n-1} (``_difference``). So each check is one expression, the row identity itself, e.g.
 n!*E(Z_n) - n*((n-1)!*E(Z_{n-1})) = n!*E(Q_n), exact on ints and
 ``Fraction``s alike: on honest inputs every check runs on integers, and no
 value is reduced to a ``Fraction`` unless a check fails and its detail
@@ -49,13 +48,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, islice
 from operator import mul
 
-from ._limits import MEMOIZED_MAX_N, _whole_ints
+from ._limits import MEMOIZED_MAX_N, _at_least, _whole_ints
 from .exact import (
     FLOAT_SLACK,
     WinTable,
+    _factorials_to,
     _times,
     closed_form_table,
     derangements,
@@ -192,11 +192,9 @@ def check_q_recursion(qseq: tuple[Fraction, ...]) -> CheckResult:
         return _fail("q-recursion", "no E(Q_2), expected 0 (n=2)")
     if qseq[0] != 0:
         return _fail("q-recursion", f"E(Q_2) = {qseq[0]}, expected 0 (n=2)")
-    fact = 2  # n!
     before = 0  # (n-1)!*E(Q_{n-1}), from E(Q_2) = 0
-    for i in range(1, len(qseq)):
+    for i, fact in enumerate(islice(_factorials_to(len(qseq) + 1), 3, None), start=1):
         n = i + 2
-        fact *= n
         scaled = _times(fact, qseq[i])
         if n * scaled != fact - n * before:
             return _fail(
@@ -221,9 +219,8 @@ def check_steps_vs_q(steps: StepsTable, qseq: tuple[Fraction, ...]) -> CheckResu
             "steps-vs-q-recursion",
             f"table sizes differ: {steps.n_max} vs {len(qseq) + 1}",
         )
-    fact = 1  # n!, for E(Q_n): q_sequence is a route's tuple, not a table
-    for n, value in enumerate(qseq, start=2):
-        fact *= n
+    rows = zip(qseq, islice(_factorials_to(len(qseq) + 1), 2, None))
+    for n, (value, fact) in enumerate(rows, start=2):
         if steps._difference(n) != _times(fact, value):
             return _fail(
                 "steps-vs-q-recursion",
@@ -305,8 +302,7 @@ def run_checks(n_max: int = 200, oracle_max: int = 12) -> list[CheckResult]:
         solvers, the combinatorial identity, the game tree, and the
         convergence bounds agree exactly.
     """
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
+    _at_least("n_max", n_max, 2)
     if oracle_max < 0 or oracle_max > MEMOIZED_MAX_N:
         raise ValueError(f"oracle_max must be in 0..{MEMOIZED_MAX_N}, got {oracle_max}")
     if oracle_max > n_max:

@@ -383,14 +383,20 @@ def expected_steps_reduced_once(n_max: int) -> tuple[Fraction, ...]:
     return tuple(ez)
 
 
-def oracle_walk_per_branch(n: int, memoize: bool = True) -> tuple[Fraction, Fraction]:
+def oracle_walk_per_branch(
+    n: int, memoize: bool = True, cache: dict[int, tuple[Fraction, Fraction]] | None = None,
+) -> tuple[Fraction, Fraction]:
     """(D, E(Z)) from ``n`` >= 1 counters, adding each branch with weight 1/pile.
 
     The random player removes k in {1..pile}; the deterministic player's
     forced move (remove one) follows in place. With ``memoize`` each pile is
-    evaluated once; without it the walk re-expands every subtree.
+    evaluated once, into ``cache``: a fresh dict unless the caller passes
+    one to share across calls. Without it the walk re-expands every subtree.
     """
-    cache: dict[int, tuple[Fraction, Fraction]] | None = {} if memoize else None
+    if not memoize:
+        cache = None
+    elif cache is None:
+        cache = {}
 
     def walk(pile: int) -> tuple[Fraction, Fraction]:
         if cache is not None and pile in cache:

@@ -19,12 +19,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import pilegame._twins as twins
 import pilegame.cli as cli
 import pilegame.verify
 from pilegame._limits import MASK64, MAX_PILE, MEMOIZED_MAX_N, METHODS, _whole_ints
 from pilegame.exact import (
-    E_INVERSE, FLOAT_SLACK, _factorials_to, closed_form, derangements, gap_to_limit, solve,
+    _EXACT, E_INVERSE, FLOAT_SLACK, _factorials_to, closed_form, derangements, gap_to_limit, solve,
     solve_recursive, solve_telescoping,
 )
 from pilegame.simulate import _INLINE_WORK_LIMIT, Z_BY_LEVEL, SimResult
@@ -460,9 +459,9 @@ def test_twin_context_is_exact_and_traps_every_rounding():
     """A twin's step that rounds raises, so a dropped trap or a lowered
     precision cannot pass silently. (``Decimal(1) / 3`` raises MemoryError at
     this precision before any trap: it would need MAX_PREC digits.)"""
-    context = twins._EXACT
+    context = _EXACT
     assert (context.prec, context.Emax, context.Emin) == (MAX_PREC, MAX_EMAX, -MAX_EMAX)
-    with localcontext(twins._EXACT) as context:
+    with localcontext(_EXACT) as context:
         with pytest.raises(Inexact):
             Decimal("2.5").to_integral_exact()
         # 20! = 2432902008176640000 keeps its value at 18 digits, but only as
@@ -482,7 +481,7 @@ def test_cells_take_the_twins_exactly_when_their_ints_hold_the_value(value, g, f
     value's denominator and scaled/fact is the value; else the value's ints."""
     fact = max(value.denominator * g + fact_off, 1)
     scaled = value.numerator * g + scaled_off
-    with localcontext(twins._EXACT):
+    with localcontext(_EXACT):
         cells = cli._cells(value, (scaled, Decimal(scaled)), (fact, Decimal(fact)))
     holds = fact % value.denominator == 0 and Fraction(scaled, fact) == value
     assert cells == (value.numerator, value.denominator)
@@ -503,7 +502,7 @@ def test_json_reports_build_no_twin(args, monkeypatch):
     def no_twin(*args):
         raise AssertionError("a Decimal twin was built")
 
-    monkeypatch.setattr(twins, "Decimal", no_twin)
+    monkeypatch.setattr("pilegame.exact.Decimal", no_twin)
     result = _run(*args.split(), "--format", "json")
     assert (result.exit_code, result.stdout) == (0, expected.stdout)
     with pytest.raises(AssertionError, match="twin was built"):  # CSV builds them

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from pilegame._limits import _whole_ints
 from pilegame.exact import (
+    _EXACT,
     E_INVERSE,
     WinTable,
     _derangement_counts,
@@ -27,7 +28,11 @@ from pilegame.exact import (
     solve_recursive,
     solve_telescoping,
 )
-from pilegame.steps import _scaled_steps, expected_steps
+from pilegame.oracle import oracle_expected_steps, oracle_win_prob
+from pilegame.rng import Xoshiro256StarStar
+from pilegame.simulate import play_game, run_trial_sums, wilson_interval
+from pilegame.steps import _scaled_steps, expected_steps, q_sequence
+from pilegame.verify import run_checks
 from reference import (
     BRUTE_DERANGEMENTS,
     BRUTE_R,
@@ -228,8 +233,6 @@ def test_factorials_give_one_per_value_from_the_first_k(table, count):
 def test_decimal_twins_print_as_their_ints(recurrence, n_max):
     """A recurrence run from Decimal(1) in the CLI's exact context gives the
     values it gives from 1, and each prints as the int does."""
-    from pilegame._twins import _EXACT
-
     with localcontext(_EXACT):
         twins = list(recurrence(n_max, Decimal(1)))
     ints = list(recurrence(n_max))
@@ -327,13 +330,35 @@ def test_win_table_d_accessor_bounds():
         table.d(-1)
 
 
-def test_negative_arguments_rejected():
-    for fn in (solve_recursive, solve_telescoping, closed_form_table,
-               gf_table, derangements):
-        with pytest.raises(ValueError):
-            fn(-1)
-    with pytest.raises(ValueError):
-        closed_form(-1)
+#: Every size argument's lower bound, with the whole message a value one
+#: below it raises: the entry point, its arguments, and that message.
+BELOW_LOWER_BOUND = {
+    "solve_recursive": (solve_recursive, (-1,), "n_max must be >= 0, got -1"),
+    "solve_telescoping": (solve_telescoping, (-1,), "n_max must be >= 0, got -1"),
+    "closed_form": (closed_form, (-1,), "n must be >= 0, got -1"),
+    "closed_form_table": (closed_form_table, (-1,), "n_max must be >= 0, got -1"),
+    "derangements": (derangements, (-1,), "n_max must be >= 0, got -1"),
+    "gf_table": (gf_table, (-1,), "n_max must be >= 0, got -1"),
+    "expected_steps": (expected_steps, (0,), "n_max must be >= 1, got 0"),
+    "q_sequence": (q_sequence, (1,), "n_max must be >= 2, got 1"),
+    "oracle_win_prob": (oracle_win_prob, (-1,), "n must be >= 0, got -1"),
+    "oracle_expected_steps": (oracle_expected_steps, (0,), "n must be >= 1, got 0"),
+    "play_game": (play_game, (0, None), "n must be >= 1, got 0"),
+    "run_trial_sums-n": (run_trial_sums, (0, 10), "n must be >= 1, got 0"),
+    "run_trial_sums-trials": (run_trial_sums, (3, 0), "trials must be >= 1, got 0"),
+    "run_trial_sums-workers": (run_trial_sums, (3, 10, 0, 0), "workers must be >= 1, got 0"),
+    "wilson_interval": (wilson_interval, (0, 0), "trials must be >= 1, got 0"),
+    "run_checks": (run_checks, (1, 1), "n_max must be >= 2, got 1"),
+    "draw": (Xoshiro256StarStar(0).draw, (0,), "draw bound must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", BELOW_LOWER_BOUND)
+def test_arguments_below_their_bound_rejected(case):
+    fn, args, message = BELOW_LOWER_BOUND[case]
+    with pytest.raises(ValueError) as raised:
+        fn(*args)
+    assert str(raised.value) == message
 
 
 def test_whole_ints_sets_nothing_where_there_is_no_limit(monkeypatch):

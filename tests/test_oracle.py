@@ -65,9 +65,10 @@ def test_memoized_and_unmemoized_agree():
 
 @pytest.mark.parametrize("memoize, limit", [(True, MEMOIZED_MAX_N), (False, UNMEMOIZED_MAX_N)])
 def test_matches_per_branch_walk_up_to_limit(memoize, limit):
+    cache = {}  # shared by the memoized reference walks: each pile is walked once in all
     for n in range(1, limit + 1):
         pair = (oracle_win_prob(n, memoize=memoize), oracle_expected_steps(n, memoize=memoize))
-        assert pair == oracle_walk_per_branch(n, memoize=memoize), f"n={n}"
+        assert pair == oracle_walk_per_branch(n, memoize=memoize, cache=cache), f"n={n}"
 
 
 def test_matches_analytic_solver_up_to_limit():

@@ -43,6 +43,17 @@ def test_import_cli_loads_only_what_every_command_needs():
     assert _loaded("import pilegame.cli") == CLI_MODULES
 
 
+def test_no_module_loads_typing():
+    """Annotations take their names from ``collections.abc``, so no module
+    pays for importing ``typing``. ``-S`` keeps site hooks from loading it."""
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import pilegame.cli, "
+            "pilegame.exact, pilegame.steps, pilegame.rng, pilegame.simulate, pilegame.verify, "
+            "pilegame.oracle; print('typing' in sys.modules)")
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert run.stdout == "False\n"
+
+
 #: What each invocation of ``python -m pilegame`` loads besides
 #: ``CLI_MODULES``, of the package and of ``COMPUTING_STDLIB``: help, a
 #: usage error and the version load no computing module, and a command
@@ -51,8 +62,8 @@ LOADS = {
     "--version": [],
     "--help": ["pilegame._help"],
     "solve --n-mx 3": [],  # a usage error
-    "solve --n-max 3": [*COMPUTING_STDLIB, "pilegame._twins", "pilegame.exact"],
-    "steps --n-max 3": [*COMPUTING_STDLIB, "pilegame._twins", "pilegame.exact", "pilegame.steps"],
+    "solve --n-max 3": [*COMPUTING_STDLIB, "pilegame.exact"],
+    "steps --n-max 3": [*COMPUTING_STDLIB, "pilegame.exact", "pilegame.steps"],
     "convergence --n-max 3": [*COMPUTING_STDLIB, "pilegame.exact"],
     "verify --n-max 3 --oracle-max 3": [
         *COMPUTING_STDLIB, "pilegame.exact", "pilegame.oracle", "pilegame.steps", "pilegame.verify",
