@@ -177,14 +177,13 @@ _EXACT_CELLS_MAX_N = 10_000
 
 def simulate(n: int, trials: int, seed: int, workers: int, ci_level: float, format: str) -> None:
     """Monte Carlo estimate of the deterministic player's win probability."""
-    from dataclasses import asdict
     from fractions import Fraction
 
     result = run_trials(n, trials, seed=seed, workers=workers, ci_level=ci_level)
     d_settled = 1 - closed_form(min(n, _SETTLED_PILE))
     num, den = _cells(1 - closed_form(n) if n <= _EXACT_CELLS_MAX_N else None)
     rows = [{
-        **asdict(result),
+        **vars(result),
         "d_exact_num": num,
         "d_exact_den": den,
         "within_ci": Fraction(result.ci_low) <= d_settled <= Fraction(result.ci_high),

@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from decimal import (
     MAX_EMAX, MAX_PREC, Context, Decimal, DivisionByZero, Inexact, InvalidOperation, Overflow,
     Rounded,
@@ -67,6 +66,7 @@ from itertools import accumulate, islice, repeat
 from operator import mul
 
 from ._limits import METHODS, _at_least
+from ._record import _Record
 
 #: Nearest double to 1/e; reference point for the convergence diagnostic.
 E_INVERSE = math.exp(-1.0)
@@ -92,18 +92,19 @@ def _times(fact: int, value: Fraction) -> int | Fraction:
 class _FactorialRow:
     """The row of integers k!*value behind an exact table's ``Fraction`` values.
 
-    A table is built either from reduced Fractions, through its dataclass
-    constructor, or by a route from the k!-scaled integers, through
-    ``_over_factorials``, which keeps them unreduced. Each form is made from
-    the other on first read and cached on the instance: ``scaled`` with one
-    ``divmod`` per value, the Fractions with one gcd per value. Value i of
-    the table belongs to k = i + ``_FIRST``. ``dataclasses.replace`` goes
-    through the constructor, so a copy never carries the old row. It owns
-    ``n_max``, the constructor's check, k!, the steps (``_difference``) and
-    the range check of an index by pile size (``_at``).
+    A table is built either from reduced Fractions, through the constructor
+    of its frozen record (``_record._Record``), or by a route from the
+    k!-scaled integers, through ``_over_factorials``, which keeps them
+    unreduced. Each form is made from the other on first read and cached on
+    the instance: ``scaled`` with one ``divmod`` per value, the Fractions
+    with one gcd per value. Value i of the table belongs to k = i +
+    ``_FIRST``. ``dataclasses.replace`` and ``copy.replace`` go through the
+    constructor, so a copy never carries the old row. It owns ``n_max``, the
+    constructor's check, k!, the steps (``_difference``) and the range check
+    of an index by pile size (``_at``).
     """
 
-    _VALUES: str  # name of the dataclass field that holds the Fractions
+    _VALUES: str  # name of the record field that holds the Fractions
     _FIRST: int  # k of the table's first value, 0 or 1
     _EMPTY: str  # the constructor's message for a table with no values
 
@@ -161,8 +162,7 @@ class _FactorialRow:
         return row[i] - k * row[i - 1]
 
 
-@dataclass(frozen=True)
-class WinTable(_FactorialRow):
+class WinTable(_FactorialRow, _Record):
     """Random-player win probabilities R_0..R_{n_max} from one solver path.
 
     Attributes:
@@ -191,8 +191,7 @@ class WinTable(_FactorialRow):
         return 1 - self.r[self._at(n, 0)]
 
 
-@dataclass(frozen=True)
-class LimitGap:
+class LimitGap(_Record):
     """Distance between D_n and 1/e, with its alternating-series bound.
 
     ``d_exact`` is the exact D_n and ``d_n_float`` its nearest double;

@@ -18,10 +18,10 @@ import math
 import os
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cache, reduce
 
 from ._limits import MASK64, MAX_PILE, _at_least
+from ._record import _Record
 from .rng import _top_bytes, expand_seed, splitmix64, stream
 
 #: z-values for the supported two-sided confidence levels. Levels outside
@@ -54,8 +54,7 @@ class GameOutcome(namedtuple("GameOutcome", ("winner", "r_steps"))):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TrialSums:
+class TrialSums(_Record):
     """Tallies over a batch of games; ``_merged`` adds them elementwise."""
 
     d_wins: int
@@ -63,8 +62,7 @@ class TrialSums:
     steps_sq_sum: int
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(_Record):
     """Aggregated statistics for one simulation run, in ``simulate``'s column order."""
 
     n: int

@@ -23,15 +23,14 @@ keeps its ``Fraction`` arithmetic, which is what keeps it a route of its own.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._limits import _at_least
+from ._record import _Record
 from .exact import _FactorialRow
 
 
-@dataclass(frozen=True)
-class StepsTable(_FactorialRow):
+class StepsTable(_FactorialRow, _Record):
     """Exact E(Z_n) for n = 1..n_max; E(Q_n) is derived from it on read.
 
     ``ez[i]`` holds E(Z_{i+1}); use ``ez_at``/``eq_at`` to index by pile

@@ -46,12 +46,12 @@ prints it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, islice
 from operator import mul
 
 from ._limits import MEMOIZED_MAX_N, _at_least, _whole_ints
+from ._record import _Record
 from .exact import (
     FLOAT_SLACK,
     WinTable,
@@ -72,8 +72,7 @@ from .steps import StepsTable, expected_steps, q_sequence
 LIMIT_GAP_MAX_N = 20
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Record):
     """Outcome of one named check; ``detail`` is empty when it passed."""
 
     check_id: str

@@ -18,10 +18,14 @@ load on other 3.x versions, and nothing is installed. For each interpreter:
   the int-to-str digit limit, one ``_run_block`` against a ``play_game``
   replay of the same stream on the tests' scalar reference generator
   (``reference.py`` imports only the standard library and the package),
-  then the CLI (it needs no other package):
-  ``python -m pilegame --version``, ``solve --n-max 30`` and ``steps
-  --n-max 30`` (whose CSV cells print from ``Decimal`` twins), ``verify
-  --n-max 50 --oracle-max 6`` and a ``simulate`` of a 2**64 pile.
+  ``dataclasses.replace`` on a ``WinTable`` and a ``StepsTable`` and
+  ``asdict`` on a ``SimResult`` (frozen records that keep the dataclass
+  protocol), then the CLI (it needs no other package): ``python -m pilegame
+  solve --n-max 30`` run by ``runpy``, which must load neither
+  ``dataclasses`` nor ``inspect``, then ``python -m pilegame --version``,
+  ``solve --n-max 30`` and ``steps --n-max 30`` (whose CSV cells print from
+  ``Decimal`` twins), ``verify --n-max 50 --oracle-max 6`` and a
+  ``simulate`` of a 2**64 pile.
 
 It prints one line per interpreter and exits 1 if any run failed. Pytest
 does not collect this file.
@@ -43,10 +47,13 @@ TIER1 = [
 ]
 VERSION = "import sys; print('%d.%d.%d' % sys.version_info[:3])"
 SMOKE = """
+import dataclasses
 import sys
 from pilegame._limits import _whole_ints
+from pilegame.exact import solve_recursive
 from pilegame.rng import expand_seed
-from pilegame.simulate import _run_block, play_game
+from pilegame.simulate import _run_block, play_game, run_trials
+from pilegame.steps import expected_steps
 from pilegame.verify import run_checks
 from reference import ScalarXoshiro
 
@@ -65,7 +72,25 @@ replay = (
     sum(g.r_steps * g.r_steps for g in games),
 )
 assert _run_block(10, 2000, state) == replay, (_run_block(10, 2000, state), replay)
-print(f"{len(results)}/{len(results)} checks passed, _whole_ints and _run_block ok")
+table, steps = solve_recursive(5), expected_steps(5)
+assert dataclasses.replace(table, method="gf").r == table.r
+ez = (*steps.ez[:-1], steps.ez[-1] + 1)
+assert dataclasses.replace(steps, ez=ez).ez == ez != steps.ez
+assert dataclasses.asdict(run_trials(10, 100, seed=1))["trials"] == 100
+print(f"{len(results)}/{len(results)} checks passed, _whole_ints, _run_block and"
+      " the dataclass protocol ok")
+"""
+CLI_LOADS = """
+import runpy, sys
+started = set(sys.modules)
+sys.argv[1:] = ["solve", "--n-max", "30"]
+try:
+    runpy.run_module("pilegame", run_name="__main__", alter_sys=True)
+except SystemExit as exit:
+    assert not exit.code, exit.code
+loaded = {"dataclasses", "inspect"} & (set(sys.modules) - started)
+assert not loaded, f"solve --n-max 30 loaded {loaded}"
+print("solve --n-max 30 loads neither dataclasses nor inspect", file=sys.stderr)
 """
 CLI_SMOKE = [
     ["--version"],
@@ -115,7 +140,8 @@ def main() -> int:
             line, failed = f"tier-1: {last}", failed or code != 0
         else:
             runs = [run(python, args, smoke)
-                    for args in (["-c", SMOKE], *(["-m", "pilegame", *cli] for cli in CLI_SMOKE))]
+                    for args in (["-c", SMOKE], ["-c", CLI_LOADS],
+                                 *(["-m", "pilegame", *cli] for cli in CLI_SMOKE))]
             line = "smoke (no pytest): " + "; ".join(last for _, last in runs)
             failed = failed or any(code for code, _ in runs)
         print(f"{version or python:<9} {line}", flush=True)

@@ -91,9 +91,9 @@ def test_depth_guards():
 
 
 def test_rejects_bad_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
         oracle_win_prob(-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
         oracle_expected_steps(0)
 
 

@@ -17,18 +17,27 @@ def _fresh(code: str) -> str:
     return out.stdout.strip()
 
 
-#: Standard modules that only computing needs: ``dataclasses`` (with
-#: ``inspect``) for the tables, ``fractions`` for exact values, and
-#: ``decimal``, which ``fractions`` imports on every supported Python.
-COMPUTING_STDLIB = ["dataclasses", "decimal", "fractions"]
+#: Standard modules that only computing needs: ``fractions`` for exact
+#: values, and ``decimal``, which ``fractions`` imports on every supported
+#: Python.
+COMPUTING_STDLIB = ["decimal", "fractions"]
+
+#: Standard modules that no invocation loads: the result types are frozen
+#: records (``pilegame._record``) that import ``dataclasses``, and with it
+#: ``inspect``, only when a caller uses the dataclass API on them.
+NEVER_LOADED = ["dataclasses", "inspect"]
+
+#: The standard modules these tests watch.
+WATCHED_STDLIB = COMPUTING_STDLIB + NEVER_LOADED
 
 
 def _loaded(code: str) -> list[str]:
-    """The pilegame modules and those of ``COMPUTING_STDLIB`` loaded after
-    running ``code`` in a new interpreter."""
-    listing = ("; import sys; print(*sorted(m for m in sys.modules"
-               f" if m.startswith('pilegame') or m in {COMPUTING_STDLIB!r}))")
-    return _fresh(code + listing).split()
+    """The pilegame modules and those of ``WATCHED_STDLIB`` that running
+    ``code`` in a new interpreter loads. What the interpreter's start-up had
+    loaded (a site hook may load ``inspect``) is not ``code``'s doing."""
+    listing = ("; print(*sorted(m for m in set(sys.modules) - started"
+               f" if m.startswith('pilegame') or m in {WATCHED_STDLIB!r}))")
+    return _fresh("import sys; started = set(sys.modules); " + code + listing).split()
 
 
 def test_import_pilegame_loads_no_submodule():
@@ -55,35 +64,41 @@ def test_no_module_loads_typing():
 
 
 #: What each invocation of ``python -m pilegame`` loads besides
-#: ``CLI_MODULES``, of the package and of ``COMPUTING_STDLIB``: help, a
+#: ``CLI_MODULES``, of the package and of ``WATCHED_STDLIB``: help, a
 #: usage error and the version load no computing module, and a command
-#: loads the modules it runs. A change to what an invocation imports shows.
+#: loads the modules it runs, and none of ``NEVER_LOADED``. A change to what
+#: an invocation imports shows.
 LOADS = {
     "--version": [],
     "--help": ["pilegame._help"],
     "solve --n-mx 3": [],  # a usage error
-    "solve --n-max 3": [*COMPUTING_STDLIB, "pilegame.exact"],
-    "steps --n-max 3": [*COMPUTING_STDLIB, "pilegame.exact", "pilegame.steps"],
-    "convergence --n-max 3": [*COMPUTING_STDLIB, "pilegame.exact"],
+    "solve --n-max 3": [*COMPUTING_STDLIB, "pilegame._record", "pilegame.exact"],
+    "steps --n-max 3": [*COMPUTING_STDLIB, "pilegame._record", "pilegame.exact", "pilegame.steps"],
+    "convergence --n-max 3": [*COMPUTING_STDLIB, "pilegame._record", "pilegame.exact"],
     "verify --n-max 3 --oracle-max 3": [
-        *COMPUTING_STDLIB, "pilegame.exact", "pilegame.oracle", "pilegame.steps", "pilegame.verify",
+        *COMPUTING_STDLIB, "pilegame._record", "pilegame.exact", "pilegame.oracle",
+        "pilegame.steps", "pilegame.verify",
     ],
     "simulate --n 3 --trials 10": [
-        *COMPUTING_STDLIB, "pilegame.exact", "pilegame.rng", "pilegame.simulate",
+        *COMPUTING_STDLIB, "pilegame._record", "pilegame.exact", "pilegame.rng",
+        "pilegame.simulate",
     ],
 }
 
-#: ``python -m pilegame`` as ``-m`` runs it, then every loaded module's
-#: name on the last line of stderr.
+#: ``python -m pilegame`` as ``-m`` runs it, then the name of every module
+#: loaded after the interpreter's start-up on the last line of stderr.
 _RUN_MAIN = """
-import atexit, runpy, sys
-atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))
+import sys
+started = set(sys.modules)
+import atexit, runpy
+atexit.register(lambda: print(*sorted(set(sys.modules) - started), file=sys.stderr))
 runpy.run_module("pilegame", run_name="__main__", alter_sys=True)
 """
 
 
 def _invoke(args: str) -> tuple[int, str, list[str]]:
-    """(exit code, stdout, every module loaded) of ``python -m pilegame`` on ``args``."""
+    """(exit code, stdout, every module loaded after start-up) of ``python -m
+    pilegame`` on ``args``."""
     run = subprocess.run([sys.executable, "-c", _RUN_MAIN, *args.split()],
                          capture_output=True, text=True)
     return run.returncode, run.stdout, run.stderr.splitlines()[-1].split()
@@ -93,7 +108,7 @@ def _invoke(args: str) -> tuple[int, str, list[str]]:
 def test_each_invocation_loads_only_what_it_runs(args):
     code, _, modules = _invoke(args)
     assert code == (2 if "--n-mx" in args else 0)
-    loaded = [m for m in modules if m.startswith("pilegame") or m in COMPUTING_STDLIB]
+    loaded = [m for m in modules if m.startswith("pilegame") or m in WATCHED_STDLIB]
     assert loaded == sorted(CLI_MODULES + LOADS[args])
 
 

@@ -108,7 +108,7 @@ def test_draw_of_one_is_forced_but_advances_state():
 
 
 def test_draw_rejects_bad_bound():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^draw bound must be >= 1, got 0$"):
         Xoshiro256StarStar(0).draw(0)
 
 

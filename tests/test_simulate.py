@@ -87,7 +87,7 @@ def test_pile_of_three_forced_continuation():
 
 
 def test_play_game_rejects_empty_pile():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
         play_game(0, ScriptedRng([]))
 
 
@@ -416,11 +416,12 @@ def test_wilson_interval_brackets_an_estimate_a_few_ulps_from_one():
 
 
 def test_wilson_interval_rejects_bad_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^trials must be >= 1, got 0$"):
         wilson_interval(5, 0, 0.99)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^wins=11 outside 0\.\.10$"):
         wilson_interval(11, 10, 0.99)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unsupported ci_level 0\.98; "
+                                         r"choose from \[0\.9, 0\.95, 0\.99, 0\.999\]$"):
         wilson_interval(5, 10, 0.98)
 
 

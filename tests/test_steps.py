@@ -77,9 +77,9 @@ def test_known_values():
 
 
 def test_rejects_bad_n_max():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n_max must be >= 1, got 0$"):
         expected_steps(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n_max must be >= 2, got 1$"):
         q_sequence(1)
 
 

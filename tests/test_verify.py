@@ -325,11 +325,11 @@ def test_all_checks_pass_at_n_max_1000():
 
 
 def test_run_checks_validates_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n_max must be >= 2, got 1$"):
         run_checks(n_max=1, oracle_max=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^oracle_max must be in 0\.\.100, got 101$"):
         run_checks(n_max=200, oracle_max=101)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^oracle_max \(12\) must not exceed n_max \(10\)$"):
         run_checks(n_max=10, oracle_max=12)
 
 
